@@ -1,6 +1,6 @@
 #include "app/light_switch.hpp"
 
-#include "gossip/protocol.hpp"
+#include "common/wire.hpp"
 
 namespace ew::app {
 
@@ -27,8 +27,7 @@ void LightSwitch::query_mds() {
                  retry(&LightSwitch::query_mds);
                  return;
                }
-               Reader rd(*r);
-               auto gram = gossip::read_endpoint(rd);
+               auto gram = wire::decode<Endpoint>(*r);
                if (!gram) {
                  retry(&LightSwitch::query_mds);
                  return;

@@ -15,231 +15,4 @@ const char* infra_name(Infra i) {
   return "Unknown";
 }
 
-namespace {
-
-// Bounded list-count read shared by the batch codecs (same shape as the
-// gossip read_count guard): the count is checked against the batch ceiling
-// AND against the bytes actually remaining (each element needs at least
-// `min_elem` bytes) before any vector is sized.
-Result<std::uint32_t> read_count(Reader& r, std::size_t min_elem,
-                                 const char* what) {
-  auto n = r.u32();
-  if (!n) return n.error();
-  if (*n > kMaxSchedBatch) return Error{Err::kProtocol, what};
-  if (min_elem > 0 && *n > r.remaining() / min_elem) {
-    return Error{Err::kProtocol, what};
-  }
-  return *n;
-}
-
-}  // namespace
-
-void write_sched_header(Writer& w, MsgType kind) {
-  w.u8(kSchedWireVersion);
-  w.u16(kind);
-}
-
-Result<std::uint8_t> read_sched_header(Reader& r, MsgType kind) {
-  auto ver = r.u8();
-  if (!ver) return ver.error();
-  if (*ver == 0 || *ver > kSchedWireVersion) {
-    return Error{Err::kProtocol, "unsupported sched wire version"};
-  }
-  auto k = r.u16();
-  if (!k) return k.error();
-  if (*k != kind) return Error{Err::kProtocol, "sched message kind mismatch"};
-  return *ver;
-}
-
-Bytes ClientHello::serialize() const {
-  Writer w;
-  write_sched_header(w, msgtype::kSchedRegister);
-  gossip::write_endpoint(w, client);
-  w.u8(static_cast<std::uint8_t>(infra));
-  w.str(host);
-  w.u32(want_units);
-  return w.take();
-}
-
-Result<ClientHello> ClientHello::deserialize(const Bytes& data) {
-  Reader r(data);
-  auto hdr = read_sched_header(r, msgtype::kSchedRegister);
-  if (!hdr) return hdr.error();
-  ClientHello h;
-  auto ep = gossip::read_endpoint(r);
-  if (!ep) return ep.error();
-  h.client = std::move(*ep);
-  auto infra = r.u8();
-  if (!infra) return infra.error();
-  if (*infra >= kInfraCount) return Error{Err::kProtocol, "bad infra id"};
-  h.infra = static_cast<Infra>(*infra);
-  auto host = r.str();
-  if (!host) return host.error();
-  h.host = std::move(*host);
-  auto want = r.u32();
-  if (!want) return want.error();
-  if (*want == 0 || *want > kMaxSchedBatch) {
-    return Error{Err::kProtocol, "bad lease size"};
-  }
-  h.want_units = *want;
-  return h;
-}
-
-Bytes ReportBatch::serialize() const {
-  Writer w;
-  write_sched_header(w, msgtype::kSchedReportBatch);
-  gossip::write_endpoint(w, client);
-  w.u64(seq);
-  w.u32(want_units);
-  w.u32(static_cast<std::uint32_t>(reports.size()));
-  for (const auto& rep : reports) rep.write(w);
-  return w.take();
-}
-
-Result<ReportBatch> ReportBatch::deserialize(const Bytes& data) {
-  Reader r(data);
-  auto hdr = read_sched_header(r, msgtype::kSchedReportBatch);
-  if (!hdr) return hdr.error();
-  ReportBatch b;
-  auto ep = gossip::read_endpoint(r);
-  if (!ep) return ep.error();
-  b.client = std::move(*ep);
-  auto seq = r.u64();
-  if (!seq) return seq.error();
-  b.seq = *seq;
-  auto want = r.u32();
-  if (!want) return want.error();
-  if (*want == 0 || *want > kMaxSchedBatch) {
-    return Error{Err::kProtocol, "bad lease size"};
-  }
-  b.want_units = *want;
-  auto count =
-      read_count(r, ramsey::WorkReport::kMinWire, "oversized report batch");
-  if (!count) return count.error();
-  b.reports.reserve(*count);
-  for (std::uint32_t i = 0; i < *count; ++i) {
-    auto rep = ramsey::WorkReport::read(r);
-    if (!rep) return rep.error();
-    b.reports.push_back(std::move(*rep));
-  }
-  return b;
-}
-
-Bytes DirectiveBatch::serialize() const {
-  Writer w;
-  write_sched_header(w, msgtype::kSchedDirectiveBatch);
-  w.u32(static_cast<std::uint32_t>(revoke.size()));
-  for (auto id : revoke) w.u64(id);
-  w.u32(static_cast<std::uint32_t>(assign.size()));
-  for (const auto& spec : assign) spec.write(w);
-  return w.take();
-}
-
-Result<DirectiveBatch> DirectiveBatch::deserialize(const Bytes& data) {
-  Reader r(data);
-  auto hdr = read_sched_header(r, msgtype::kSchedDirectiveBatch);
-  if (!hdr) return hdr.error();
-  DirectiveBatch d;
-  auto nrevoke = read_count(r, sizeof(std::uint64_t), "oversized revoke list");
-  if (!nrevoke) return nrevoke.error();
-  d.revoke.reserve(*nrevoke);
-  for (std::uint32_t i = 0; i < *nrevoke; ++i) {
-    auto id = r.u64();
-    if (!id) return id.error();
-    d.revoke.push_back(*id);
-  }
-  auto nassign =
-      read_count(r, ramsey::WorkSpec::kMinWire, "oversized assign list");
-  if (!nassign) return nassign.error();
-  d.assign.reserve(*nassign);
-  for (std::uint32_t i = 0; i < *nassign; ++i) {
-    auto spec = ramsey::WorkSpec::read(r);
-    if (!spec) return spec.error();
-    d.assign.push_back(std::move(*spec));
-  }
-  return d;
-}
-
-Bytes LogRecord::serialize() const {
-  Writer w;
-  w.i64(when);
-  gossip::write_endpoint(w, client);
-  w.u8(static_cast<std::uint8_t>(infra));
-  w.str(host);
-  w.u64(ops);
-  w.u64(best_energy);
-  w.boolean(found);
-  return w.take();
-}
-
-Result<LogRecord> LogRecord::deserialize(const Bytes& data) {
-  Reader r(data);
-  LogRecord rec;
-  auto when = r.i64();
-  if (!when) return when.error();
-  rec.when = *when;
-  auto ep = gossip::read_endpoint(r);
-  if (!ep) return ep.error();
-  rec.client = std::move(*ep);
-  auto infra = r.u8();
-  if (!infra) return infra.error();
-  if (*infra >= kInfraCount) return Error{Err::kProtocol, "bad infra id"};
-  rec.infra = static_cast<Infra>(*infra);
-  auto host = r.str();
-  if (!host) return host.error();
-  rec.host = std::move(*host);
-  auto ops = r.u64();
-  if (!ops) return ops.error();
-  rec.ops = *ops;
-  auto be = r.u64();
-  if (!be) return be.error();
-  rec.best_energy = *be;
-  auto found = r.boolean();
-  if (!found) return found.error();
-  rec.found = *found;
-  return rec;
-}
-
-Bytes MetricsSnapshot::serialize() const {
-  Writer w;
-  w.i64(when);
-  gossip::write_endpoint(w, source);
-  w.str(json);
-  return w.take();
-}
-
-Result<MetricsSnapshot> MetricsSnapshot::deserialize(const Bytes& data) {
-  Reader r(data);
-  MetricsSnapshot snap;
-  auto when = r.i64();
-  if (!when) return when.error();
-  snap.when = *when;
-  auto ep = gossip::read_endpoint(r);
-  if (!ep) return ep.error();
-  snap.source = std::move(*ep);
-  auto json = r.str();
-  if (!json) return json.error();
-  snap.json = std::move(*json);
-  return snap;
-}
-
-Bytes StoreRequest::serialize() const {
-  Writer w;
-  w.str(name);
-  w.blob(blob);
-  return w.take();
-}
-
-Result<StoreRequest> StoreRequest::deserialize(const Bytes& data) {
-  Reader r(data);
-  StoreRequest s;
-  auto name = r.str();
-  if (!name) return name.error();
-  s.name = std::move(*name);
-  auto blob = r.blob();
-  if (!blob) return blob.error();
-  s.blob = std::move(*blob);
-  return s;
-}
-
 }  // namespace ew::core

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/clock.hpp"
+#include "common/wire.hpp"
 #include "gossip/protocol.hpp"
 #include "net/packet.hpp"
 #include "ramsey/workunit.hpp"
@@ -67,6 +68,7 @@ enum class Infra : std::uint8_t {
   kNetSolve = 6,
 };
 constexpr int kInfraCount = 7;
+constexpr int enum_count(Infra) { return kInfraCount; }
 const char* infra_name(Infra i);
 
 /// Wire version of the scheduler message family. v2 added the versioned
@@ -79,12 +81,19 @@ constexpr std::uint8_t kSchedWireVersion = 2;
 /// before the 16 MiB frame cap would.
 constexpr std::uint32_t kMaxSchedBatch = 65'536;
 
-/// Envelope helpers shared by every scheduler payload: u8 version (1 ..
-/// kSchedWireVersion accepted) + u16 message kind (must match the MsgType
-/// the payload travels under, so a frame replayed at the wrong type fails
-/// decode instead of being misinterpreted).
-void write_sched_header(Writer& w, MsgType kind);
-Result<std::uint8_t> read_sched_header(Reader& r, MsgType kind);
+/// Wire format of every scheduler payload (common/wire.hpp): the versioned
+/// envelope — u8 version (1 .. kSchedWireVersion accepted) + u16 message kind,
+/// which must match the MsgType the payload travels under, so a frame
+/// replayed at the wrong type fails decode instead of being misinterpreted —
+/// and lists of at most kMaxSchedBatch elements.
+constexpr wire::Format sched_wire(MsgType kind) {
+  return {kSchedWireVersion, kind, kMaxSchedBatch};
+}
+
+/// A lease size a client may ask for.
+inline Status check_lease(std::uint32_t want_units) {
+  return wire::check(want_units >= 1 && want_units <= kMaxSchedBatch, "bad lease size");
+}
 
 /// Client identification sent with kSchedRegister.
 struct ClientHello {
@@ -93,8 +102,16 @@ struct ClientHello {
   std::string host;
   std::uint32_t want_units = 1;  // lease size the client asks to hold
 
-  [[nodiscard]] Bytes serialize() const;
-  static Result<ClientHello> deserialize(const Bytes& data);
+  static constexpr wire::Format kWire = sched_wire(msgtype::kSchedRegister);
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(client, infra, host, want_units);
+  }
+  [[nodiscard]] Status validate() const { return check_lease(want_units); }
+  [[nodiscard]] Bytes serialize() const { return wire::encode(*this); }
+  static Result<ClientHello> deserialize(const Bytes& data) {
+    return wire::decode<ClientHello>(data);
+  }
 };
 
 /// Batched progress reports: one hedged call carries every unit the client
@@ -111,8 +128,16 @@ struct ReportBatch {
   std::uint32_t want_units = 1;  // lease size to top back up to
   std::vector<ramsey::WorkReport> reports;
 
-  [[nodiscard]] Bytes serialize() const;
-  static Result<ReportBatch> deserialize(const Bytes& data);
+  static constexpr wire::Format kWire = sched_wire(msgtype::kSchedReportBatch);
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(client, seq, want_units, reports);
+  }
+  [[nodiscard]] Status validate() const { return check_lease(want_units); }
+  [[nodiscard]] Bytes serialize() const { return wire::encode(*this); }
+  static Result<ReportBatch> deserialize(const Bytes& data) {
+    return wire::decode<ReportBatch>(data);
+  }
 };
 
 /// Scheduler reply to every register/report call: units the client must stop
@@ -123,8 +148,16 @@ struct DirectiveBatch {
   std::vector<ramsey::WorkSpec> assign;
 
   [[nodiscard]] bool empty() const { return revoke.empty() && assign.empty(); }
-  [[nodiscard]] Bytes serialize() const;
-  static Result<DirectiveBatch> deserialize(const Bytes& data);
+
+  static constexpr wire::Format kWire = sched_wire(msgtype::kSchedDirectiveBatch);
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(revoke, assign);
+  }
+  [[nodiscard]] Bytes serialize() const { return wire::encode(*this); }
+  static Result<DirectiveBatch> deserialize(const Bytes& data) {
+    return wire::decode<DirectiveBatch>(data);
+  }
 };
 
 /// A performance record shipped to the logging service (Section 3.1.3:
@@ -139,8 +172,14 @@ struct LogRecord {
   std::uint64_t best_energy = 0;
   bool found = false;
 
-  [[nodiscard]] Bytes serialize() const;
-  static Result<LogRecord> deserialize(const Bytes& data);
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(when, client, infra, host, ops, best_energy, found);
+  }
+  [[nodiscard]] Bytes serialize() const { return wire::encode(*this); }
+  static Result<LogRecord> deserialize(const Bytes& data) {
+    return wire::decode<LogRecord>(data);
+  }
 };
 
 /// A whole obs::Registry snapshot shipped off-host, the paper's "limit and
@@ -152,8 +191,14 @@ struct MetricsSnapshot {
   Endpoint source;       // the node whose registry this is
   std::string json;      // obs::snapshot_json() document
 
-  [[nodiscard]] Bytes serialize() const;
-  static Result<MetricsSnapshot> deserialize(const Bytes& data);
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(when, source, json);
+  }
+  [[nodiscard]] Bytes serialize() const { return wire::encode(*this); }
+  static Result<MetricsSnapshot> deserialize(const Bytes& data) {
+    return wire::decode<MetricsSnapshot>(data);
+  }
 };
 
 /// Persistent-state store request.
@@ -161,8 +206,14 @@ struct StoreRequest {
   std::string name;      // object name, e.g. "ramsey/best/17/4"
   Bytes blob;            // versioned object content
 
-  [[nodiscard]] Bytes serialize() const;
-  static Result<StoreRequest> deserialize(const Bytes& data);
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(name, blob);
+  }
+  [[nodiscard]] Bytes serialize() const { return wire::encode(*this); }
+  static Result<StoreRequest> deserialize(const Bytes& data) {
+    return wire::decode<StoreRequest>(data);
+  }
 };
 
 }  // namespace ew::core

@@ -51,32 +51,6 @@ std::vector<Endpoint> ServerList::servers() const {
   return out;
 }
 
-Bytes ServerList::serialize() const {
-  Writer w;
-  w.u32(static_cast<std::uint32_t>(map_.size()));
-  for (const auto& [server, beat] : map_) {
-    gossip::write_endpoint(w, server);
-    w.u64(beat);
-  }
-  return w.take();
-}
-
-Result<ServerList> ServerList::deserialize(const Bytes& data) {
-  Reader r(data);
-  auto n = r.u32();
-  if (!n) return n.error();
-  if (*n > 100'000) return Error{Err::kProtocol, "server list too large"};
-  ServerList out;
-  for (std::uint32_t i = 0; i < *n; ++i) {
-    auto ep = gossip::read_endpoint(r);
-    if (!ep) return ep.error();
-    auto beat = r.u64();
-    if (!beat) return beat.error();
-    out.map_[std::move(*ep)] = *beat;
-  }
-  return out;
-}
-
 int ServerList::compare(const Bytes& a, const Bytes& b) {
   const auto la = deserialize(a);
   const auto lb = deserialize(b);

@@ -50,8 +50,17 @@ class ServerList {
   [[nodiscard]] bool contains(const Endpoint& e) const { return map_.contains(e); }
   [[nodiscard]] std::size_t size() const { return map_.size(); }
 
-  [[nodiscard]] Bytes serialize() const;
-  static Result<ServerList> deserialize(const Bytes& data);
+  /// Wire layout: the entries as a gossip-family list (at most 100,000) of
+  /// (server, heartbeat); a repeated server keeps its last heartbeat.
+  static constexpr wire::Format kWire = gossip::kGossipWire;
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(map_);
+  }
+  [[nodiscard]] Bytes serialize() const { return wire::encode(*this); }
+  static Result<ServerList> deserialize(const Bytes& data) {
+    return wire::decode<ServerList>(data);
+  }
 
   /// Freshness comparator for statetype::kServerList: a list is fresher if
   /// it knows a newer heartbeat for any server or any server the other

@@ -46,9 +46,7 @@ void CliqueMember::announce_join() {
   // which consider_foreign_view adopts or merges with).
   for (const auto& peer : well_known_) {
     if (peer == node_.self()) continue;
-    Writer w;
-    write_endpoint(w, node_.self());
-    node_.call(peer, mt_join(), w.take(), hop_options(),
+    node_.call(peer, mt_join(), wire::encode(node_.self()), hop_options(),
                [this](Result<Bytes> r) {
                  if (!running_ || !r.ok()) return;
                  auto v = View::deserialize(*r);
@@ -342,16 +340,12 @@ void CliqueMember::on_join(const IncomingMessage& msg, const Responder& resp) {
     resp.fail(Err::kRejected, "clique member stopped");
     return;
   }
-  auto joiner = Endpoint{};
-  {
-    Reader r(msg.packet.payload);
-    auto e = read_endpoint(r);
-    if (!e) {
-      resp.fail(Err::kProtocol, e.error().message);
-      return;
-    }
-    joiner = std::move(*e);
+  auto decoded = wire::decode<Endpoint>(msg.packet.payload);
+  if (!decoded) {
+    resp.fail(Err::kProtocol, decoded.error().message);
+    return;
   }
+  const Endpoint joiner = std::move(*decoded);
   ever_seen_.insert(joiner);
   if (is_leader()) {
     if (!view_.contains(joiner)) pending_joins_.push_back(joiner);

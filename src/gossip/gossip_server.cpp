@@ -405,8 +405,6 @@ void GossipServer::poll_component(const Endpoint& component,
           // that originated the out-of-date message").
           auto fresh = store_.get(theirs.type);
           if (!fresh) continue;
-          Writer upd;
-          write_state_blob(upd, *fresh);
           ++updates_pushed_;
           obs::registry().counter(obs::names::kGossipUpdatesPushed).inc();
           // Updates carry versioned blobs, so duplicates are no-ops at the
@@ -414,7 +412,7 @@ void GossipServer::poll_component(const Endpoint& component,
           CallOptions push;
           push.retry = RetryPolicy::standard(2);
           push.trace_tag = "gossip.push";
-          node_.call(component, msgtype::kStateUpdate, upd.take(),
+          node_.call(component, msgtype::kStateUpdate, wire::encode(*fresh),
                      std::move(push), [](Result<Bytes>) {});
         }
       });

@@ -19,6 +19,7 @@
 
 #include "common/result.hpp"
 #include "common/serialize.hpp"
+#include "common/wire.hpp"
 #include "net/endpoint.hpp"
 #include "net/packet.hpp"
 
@@ -45,9 +46,9 @@ constexpr MsgType kParentTierOffset = 0x0008;
 constexpr MsgType kParentDigest = 0x0120;
 }  // namespace msgtype
 
-/// Endpoint codec helpers used across all protocols.
-void write_endpoint(Writer& w, const Endpoint& e);
-Result<Endpoint> read_endpoint(Reader& r);
+/// Wire format of every gossip message (common/wire.hpp): no envelope, and
+/// at most 100,000 elements in any list.
+inline constexpr wire::Format kGossipWire{.max_list = 100'000};
 
 /// A component's registration: its contact address and the state message
 /// types it wants synchronized (paper: "register a contact address, a unique
@@ -56,20 +57,30 @@ struct Registration {
   Endpoint component;
   std::vector<MsgType> types;
 
-  [[nodiscard]] Bytes serialize() const;
-  static Result<Registration> deserialize(const Bytes& data);
-  void write(Writer& w) const;
-  static Result<Registration> read(Reader& r);
+  static constexpr wire::Format kWire = kGossipWire;
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(component, types);
+  }
+  [[nodiscard]] Status validate() const {
+    return wire::check(types.size() <= 4096, "registration type list too long");
+  }
+  [[nodiscard]] Bytes serialize() const { return wire::encode(*this); }
+  static Result<Registration> deserialize(const Bytes& data) {
+    return wire::decode<Registration>(data);
+  }
 };
 
 /// One synchronized state object: its type and opaque content.
 struct StateBlob {
   MsgType type = 0;
   Bytes content;
-};
 
-void write_state_blob(Writer& w, const StateBlob& s);
-Result<StateBlob> read_state_blob(Reader& r);
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(type, content);
+  }
+};
 
 /// Per-type digest line: the stored copy's version stamp (leading u64 by the
 /// toolkit convention; 0 when the content has none) and an FNV-1a checksum
@@ -80,10 +91,12 @@ struct TypeSummary {
   MsgType type = 0;
   std::uint64_t version = 0;
   std::uint64_t checksum = 0;
-};
 
-void write_type_summary(Writer& w, const TypeSummary& s);
-Result<TypeSummary> read_type_summary(Reader& r);
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(type, version, checksum);
+  }
+};
 
 /// Anti-entropy digest: one summary line per state type this gossip's shard
 /// holds, plus an order-independent rollup of its registration set. Bytes
@@ -94,8 +107,13 @@ struct Digest {
   std::uint64_t reg_count = 0;
   std::uint64_t reg_checksum = 0;
 
-  [[nodiscard]] Bytes serialize() const;
-  static Result<Digest> deserialize(const Bytes& data);
+  static constexpr wire::Format kWire = kGossipWire;
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(clique, summaries, reg_count, reg_checksum);
+  }
+  [[nodiscard]] Bytes serialize() const { return wire::encode(*this); }
+  static Result<Digest> deserialize(const Bytes& data) { return wire::decode<Digest>(data); }
 };
 
 /// Digest reply / standalone push: the blobs the receiver is provably stale
@@ -107,8 +125,13 @@ struct Delta {
   std::vector<MsgType> want;
   std::vector<Registration> registrations;
 
-  [[nodiscard]] Bytes serialize() const;
-  static Result<Delta> deserialize(const Bytes& data);
+  static constexpr wire::Format kWire = kGossipWire;
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(clique, blobs, want, registrations);
+  }
+  [[nodiscard]] Bytes serialize() const { return wire::encode(*this); }
+  static Result<Delta> deserialize(const Bytes& data) { return wire::decode<Delta>(data); }
 };
 
 /// One child clique's rollup, anti-entropied leader-to-leader on the parent
@@ -122,8 +145,10 @@ struct CliqueSummary {
   std::uint64_t states = 0;
   std::uint64_t components = 0;
 
-  void write(Writer& w) const;
-  static Result<CliqueSummary> read(Reader& r);
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(clique, version, checksum, states, components);
+  }
 };
 
 /// Parent-tier exchange payload: every rollup the sending leader knows.
@@ -131,15 +156,30 @@ struct CliqueSummary {
 struct ParentDigest {
   std::vector<CliqueSummary> cliques;
 
-  [[nodiscard]] Bytes serialize() const;
-  static Result<ParentDigest> deserialize(const Bytes& data);
+  static constexpr wire::Format kWire = kGossipWire;
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(cliques);
+  }
+  [[nodiscard]] Bytes serialize() const { return wire::encode(*this); }
+  static Result<ParentDigest> deserialize(const Bytes& data) {
+    return wire::decode<ParentDigest>(data);
+  }
 };
 
-/// Raw list codecs shared by the poll bodies below (and handy in tests).
-Bytes serialize_type_list(const std::vector<MsgType>& types);
-Result<std::vector<MsgType>> deserialize_type_list(const Bytes& data);
-Bytes serialize_blob_list(const std::vector<StateBlob>& blobs);
-Result<std::vector<StateBlob>> deserialize_blob_list(const Bytes& data);
+/// Raw list codecs (handy in tests and tools).
+inline Bytes serialize_type_list(const std::vector<MsgType>& types) {
+  return wire::encode(types);
+}
+inline Result<std::vector<MsgType>> deserialize_type_list(const Bytes& data) {
+  return wire::decode<std::vector<MsgType>>(data, kGossipWire);
+}
+inline Bytes serialize_blob_list(const std::vector<StateBlob>& blobs) {
+  return wire::encode(blobs);
+}
+inline Result<std::vector<StateBlob>> deserialize_blob_list(const Bytes& data) {
+  return wire::decode<std::vector<StateBlob>>(data, kGossipWire);
+}
 
 /// kGetStateBatch request: one summary line per polled type carrying the
 /// polling gossip's own stored copy's (version, checksum) — zeros when it
@@ -149,8 +189,15 @@ Result<std::vector<StateBlob>> deserialize_blob_list(const Bytes& data);
 struct PollRequest {
   std::vector<TypeSummary> held;
 
-  [[nodiscard]] Bytes serialize() const;
-  static Result<PollRequest> deserialize(const Bytes& data);
+  static constexpr wire::Format kWire = kGossipWire;
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(held);
+  }
+  [[nodiscard]] Bytes serialize() const { return wire::encode(*this); }
+  static Result<PollRequest> deserialize(const Bytes& data) {
+    return wire::decode<PollRequest>(data);
+  }
 };
 
 /// kGetStateBatch reply. `fresh` is set exactly when every requested type
@@ -161,8 +208,15 @@ struct PollReply {
   bool fresh = false;
   std::vector<StateBlob> blobs;
 
-  [[nodiscard]] Bytes serialize() const;
-  static Result<PollReply> deserialize(const Bytes& data);
+  static constexpr wire::Format kWire = kGossipWire;
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(wire::as<std::uint8_t>(fresh), blobs);  // any nonzero byte reads as fresh
+  }
+  [[nodiscard]] Bytes serialize() const { return wire::encode(*this); }
+  static Result<PollReply> deserialize(const Bytes& data) {
+    return wire::decode<PollReply>(data);
+  }
 };
 
 /// A clique view: generation, leader, sorted member list.
@@ -175,10 +229,16 @@ struct View {
   /// Total order for adoption: higher generation wins; ties break toward
   /// the lexicographically smaller leader (deterministic convergence).
   [[nodiscard]] bool newer_than(const View& other) const;
-  [[nodiscard]] Bytes serialize() const;
-  static Result<View> deserialize(const Bytes& data);
-  void write(Writer& w) const;
-  static Result<View> read(Reader& r);
+
+  static constexpr wire::Format kWire = kGossipWire;
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(generation, leader, members);
+  }
+  /// Decode hook: restores the sorted-members invariant.
+  Status validate();
+  [[nodiscard]] Bytes serialize() const { return wire::encode(*this); }
+  static Result<View> deserialize(const Bytes& data) { return wire::decode<View>(data); }
 };
 
 /// The circulating token: the view it asserts, who has seen it this round,
@@ -189,8 +249,13 @@ struct Token {
   std::vector<Endpoint> visited;
   std::vector<Endpoint> suspects;
 
-  [[nodiscard]] Bytes serialize() const;
-  static Result<Token> deserialize(const Bytes& data);
+  static constexpr wire::Format kWire = kGossipWire;
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(round, view, visited, suspects);
+  }
+  [[nodiscard]] Bytes serialize() const { return wire::encode(*this); }
+  static Result<Token> deserialize(const Bytes& data) { return wire::decode<Token>(data); }
 };
 
 }  // namespace ew::gossip

@@ -126,8 +126,7 @@ void SyncClient::on_get_state_batch(const IncomingMessage& msg,
 }
 
 void SyncClient::on_state_update(const IncomingMessage& msg, const Responder& resp) {
-  Reader r(msg.packet.payload);
-  auto blob = read_state_blob(r);
+  auto blob = wire::decode<StateBlob>(msg.packet.payload);
   if (!blob) {
     resp.fail(Err::kProtocol, blob.error().message);
     return;

@@ -1,6 +1,6 @@
 #include "infra/globus.hpp"
 
-#include "gossip/protocol.hpp"
+#include "common/wire.hpp"
 
 namespace ew::infra {
 
@@ -66,8 +66,8 @@ void GlobusAdapter::apply_spike(const sim::Spike& spike) {
 
 void GlobusAdapter::on_mds_query(const Responder& resp) {
   Writer w;
-  gossip::write_endpoint(w, gram_->self());
-  gossip::write_endpoint(w, gass_->self());
+  wire::write(w, gram_->self());
+  wire::write(w, gass_->self());
   w.u32(static_cast<std::uint32_t>(pool_.hosts_up()));
   resp.ok(w.take());
 }

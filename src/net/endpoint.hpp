@@ -21,6 +21,12 @@ struct Endpoint {
   }
   [[nodiscard]] bool valid() const { return !host.empty() && port != 0; }
 
+  /// Wire layout (common/wire.hpp): length-prefixed host, then port.
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(host, port);
+  }
+
   friend bool operator==(const Endpoint& a, const Endpoint& b) = default;
   friend auto operator<=>(const Endpoint& a, const Endpoint& b) = default;
 };

@@ -4,52 +4,6 @@
 
 namespace ew::nws {
 
-Bytes NwsMeasurement::serialize() const {
-  Writer w;
-  w.str(resource);
-  w.f64(value);
-  return w.take();
-}
-
-Result<NwsMeasurement> NwsMeasurement::deserialize(const Bytes& data) {
-  Reader r(data);
-  NwsMeasurement m;
-  auto name = r.str();
-  if (!name) return name.error();
-  m.resource = std::move(*name);
-  auto v = r.f64();
-  if (!v) return v.error();
-  m.value = *v;
-  return m;
-}
-
-Bytes NwsForecastReply::serialize() const {
-  Writer w;
-  w.f64(value);
-  w.f64(error);
-  w.u64(samples);
-  w.str(method);
-  return w.take();
-}
-
-Result<NwsForecastReply> NwsForecastReply::deserialize(const Bytes& data) {
-  Reader r(data);
-  NwsForecastReply out;
-  auto v = r.f64();
-  if (!v) return v.error();
-  out.value = *v;
-  auto e = r.f64();
-  if (!e) return e.error();
-  out.error = *e;
-  auto s = r.u64();
-  if (!s) return s.error();
-  out.samples = *s;
-  auto m = r.str();
-  if (!m) return m.error();
-  out.method = std::move(*m);
-  return out;
-}
-
 void NwsStationModule::record(const std::string& resource, double value) {
   auto it = series_.find(resource);
   if (it == series_.end()) {

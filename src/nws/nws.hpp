@@ -20,6 +20,7 @@
 
 #include <map>
 
+#include "common/wire.hpp"
 #include "core/service_framework.hpp"
 #include "forecast/selector.hpp"
 
@@ -36,8 +37,14 @@ struct NwsMeasurement {
   std::string resource;
   double value = 0.0;
 
-  [[nodiscard]] Bytes serialize() const;
-  static Result<NwsMeasurement> deserialize(const Bytes& data);
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(resource, value);
+  }
+  [[nodiscard]] Bytes serialize() const { return wire::encode(*this); }
+  static Result<NwsMeasurement> deserialize(const Bytes& data) {
+    return wire::decode<NwsMeasurement>(data);
+  }
 };
 
 /// Wire form of a query response.
@@ -47,8 +54,14 @@ struct NwsForecastReply {
   std::uint64_t samples = 0;
   std::string method;
 
-  [[nodiscard]] Bytes serialize() const;
-  static Result<NwsForecastReply> deserialize(const Bytes& data);
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(value, error, samples, method);
+  }
+  [[nodiscard]] Bytes serialize() const { return wire::encode(*this); }
+  static Result<NwsForecastReply> deserialize(const Bytes& data) {
+    return wire::decode<NwsForecastReply>(data);
+  }
 };
 
 class NwsStationModule final : public core::ServiceModule {

@@ -61,6 +61,8 @@ class ColoredGraph {
   static Result<ColoredGraph> paley(int q);
 
   /// Wire encoding (order + packed red bitmap) for gossip / persistent state.
+  /// An image is at most kMaxImage bytes.
+  static constexpr std::size_t kMaxImage = 1 + kMaxVertices * 8;
   [[nodiscard]] Bytes serialize() const;
   static Result<ColoredGraph> deserialize(const Bytes& data);
 

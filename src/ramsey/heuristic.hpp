@@ -27,6 +27,7 @@ enum class HeuristicKind : std::uint8_t {
   kTabu = 1,
   kAnneal = 2,
 };
+constexpr int enum_count(HeuristicKind) { return 3; }
 
 const char* heuristic_name(HeuristicKind k);
 

@@ -5,7 +5,7 @@
 // for how many integer operations per reporting quantum. A WorkReport is
 // what the client sends back with each progress report; the scheduler feeds
 // the reported rate to the forecasters and the logging service records it.
-// Both are wire-encoded with the lingua franca serializer.
+// Both are wire-encoded with the lingua franca codec (common/wire.hpp).
 #pragma once
 
 #include <cstdint>
@@ -13,16 +13,16 @@
 
 #include "common/result.hpp"
 #include "common/serialize.hpp"
+#include "common/wire.hpp"
 #include "ramsey/graph.hpp"
 #include "ramsey/heuristic.hpp"
 
 namespace ew::ramsey {
 
 /// Upper bound on the serialized-graph blobs carried inside WorkSpec.resume
-/// and WorkReport.best_graph. A ColoredGraph wire image is at most
-/// 1 + kMaxVertices * 8 bytes; anything larger is rejected before allocation
-/// so a hostile frame cannot make the decoder balloon.
-constexpr std::size_t kMaxGraphBlob = 1 + ColoredGraph::kMaxVertices * 8;
+/// and WorkReport.best_graph: the largest ColoredGraph wire image. Anything
+/// larger is rejected so a hostile frame cannot make the decoder balloon.
+constexpr std::size_t kMaxGraphBlob = ColoredGraph::kMaxImage;
 
 /// A schedulable slice of the Ramsey search.
 struct WorkSpec {
@@ -34,14 +34,15 @@ struct WorkSpec {
   std::uint64_t report_ops = 50'000'000;  // ops per progress report
   std::optional<ColoredGraph> resume;     // migrated in-progress coloring
 
-  /// Minimum wire footprint of one spec; batch decoders use it to bound
-  /// element counts against the bytes actually present.
-  static constexpr std::size_t kMinWire = 8 + 1 + 1 + 1 + 8 + 8 + 1;
-
-  void write(Writer& w) const;            // in-stream (batch) encoding
-  static Result<WorkSpec> read(Reader& r);
-  [[nodiscard]] Bytes serialize() const;
-  static Result<WorkSpec> deserialize(const Bytes& data);
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(unit_id, wire::as<std::uint8_t>(n), wire::as<std::uint8_t>(k), kind, seed,
+       report_ops, resume);
+  }
+  [[nodiscard]] Bytes serialize() const { return wire::encode(*this); }
+  static Result<WorkSpec> deserialize(const Bytes& data) {
+    return wire::decode<WorkSpec>(data);
+  }
 };
 
 /// Progress report from a client to its scheduler.
@@ -52,12 +53,17 @@ struct WorkReport {
   bool found = false;               // best graph is a counter-example
   Bytes best_graph;                 // serialized ColoredGraph (may be empty)
 
-  static constexpr std::size_t kMinWire = 8 + 8 + 8 + 1 + 4;
-
-  void write(Writer& w) const;            // in-stream (batch) encoding
-  static Result<WorkReport> read(Reader& r);
-  [[nodiscard]] Bytes serialize() const;
-  static Result<WorkReport> deserialize(const Bytes& data);
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(unit_id, ops_done, best_energy, found, best_graph);
+  }
+  [[nodiscard]] Status validate() const {
+    return wire::check(best_graph.size() <= kMaxGraphBlob, "oversized best graph");
+  }
+  [[nodiscard]] Bytes serialize() const { return wire::encode(*this); }
+  static Result<WorkReport> deserialize(const Bytes& data) {
+    return wire::decode<WorkReport>(data);
+  }
 };
 
 }  // namespace ew::ramsey

@@ -34,18 +34,6 @@ std::optional<EnvStore::Entry> EnvStore::entry(const std::string& key) const {
   return it->second;
 }
 
-Bytes EnvStore::body() const {
-  Writer w;
-  w.u32(static_cast<std::uint32_t>(map_.size()));
-  for (const auto& [key, e] : map_) {
-    w.str(key);
-    w.str(e.value);
-    w.u64(e.version);
-    w.u64(e.writer);
-  }
-  return w.take();
-}
-
 Bytes EnvStore::snapshot() const {
   return gossip::versioned_blob(mint_, body());
 }
@@ -57,36 +45,14 @@ Status EnvStore::apply(const Bytes& blob) {
   if (!body_bytes) return body_bytes.error();
 
   // Parse the whole incoming entry list before touching the map: a
-  // malformed blob must not leave a half-merged replica.
-  Reader r(*body_bytes);
-  auto count = r.u32();
-  if (!count) return count.error();
-  // Same guard shape as the wire codecs: ceiling AND remaining-bytes bound
-  // (each entry needs at least two empty strings + two u64 stamps).
-  constexpr std::size_t kMinEntry = 4 + 4 + 8 + 8;
-  if (*count > kMaxWishBatch || *count > r.remaining() / kMinEntry) {
-    return Status(Err::kProtocol, "oversized env blob");
-  }
-  struct Incoming {
-    std::string key, value;
-    std::uint64_t version, writer;
-  };
-  std::vector<Incoming> in;
-  in.reserve(*count);
-  for (std::uint32_t i = 0; i < *count; ++i) {
-    auto key = r.str();
-    if (!key) return key.error();
-    auto value = r.str();
-    if (!value) return value.error();
-    auto ver = r.u64();
-    if (!ver) return ver.error();
-    auto writer = r.u64();
-    if (!writer) return writer.error();
-    in.push_back(Incoming{std::move(*key), std::move(*value), *ver, *writer});
-  }
+  // malformed blob must not leave a half-merged replica. Entries arrive in
+  // wire order, repeats included.
+  auto in = wire::decode<std::vector<std::pair<std::string, Entry>>>(
+      *body_bytes, wire::Format{.max_list = kMaxWishBatch});
+  if (!in) return in.error();
 
-  for (auto& inc : in) {
-    Entry& e = map_[inc.key];  // default-constructs version 0 when absent
+  for (auto& [key, inc] : *in) {
+    Entry& e = map_[key];  // default-constructs version 0 when absent
     if (inc.writer == writer_ && !e.own && e.version == 0) {
       // Our own entry echoed back for a key this incarnation never wrote
       // and never merged: adopt it (it IS our latest surviving write).

@@ -34,6 +34,7 @@
 
 #include "common/result.hpp"
 #include "common/serialize.hpp"
+#include "common/wire.hpp"
 
 namespace ew::wish {
 
@@ -44,6 +45,12 @@ class EnvStore {
     std::uint64_t version = 0;  // per-key stamp (Lamport-ish)
     std::uint64_t writer = 0;   // stable id of the writing daemon
     bool own = false;           // written by THIS incarnation of this store
+
+    /// Wire layout of an entry in the blob body; `own` is local knowledge.
+    template <class Ar>
+    void fields(Ar& ar) {
+      ar(value, version, writer);
+    }
   };
 
   /// `writer_id` must be stable across restarts of the same daemon (the
@@ -79,7 +86,9 @@ class EnvStore {
   [[nodiscard]] std::uint64_t content_digest() const;
 
  private:
-  [[nodiscard]] Bytes body() const;  // canonical (sorted-key) entry list
+  /// Canonical blob body: the (key, entry) list in key order, at most
+  /// kMaxWishBatch entries.
+  [[nodiscard]] Bytes body() const { return wire::encode(map_); }
 
   std::uint64_t writer_;
   std::uint64_t mint_ = 0;

@@ -10,7 +10,7 @@
 // Every message carries the same versioned envelope the scheduler protocol
 // uses (u8 wire version + u16 kind), and every list decode is guarded by a
 // count-vs-remaining-bytes check before any vector is sized, so a truncated
-// or hostile frame can never drive an allocation.
+// or hostile frame can never drive an allocation (both from common/wire.hpp).
 #pragma once
 
 #include <cstdint>
@@ -19,6 +19,7 @@
 
 #include "common/clock.hpp"
 #include "common/serialize.hpp"
+#include "common/wire.hpp"
 #include "gossip/protocol.hpp"
 #include "net/endpoint.hpp"
 
@@ -53,8 +54,11 @@ namespace statetype {
 constexpr MsgType kWishEnv = 0x0303;
 }  // namespace statetype
 
-void write_wish_header(Writer& w, MsgType kind);
-Result<std::uint8_t> read_wish_header(Reader& r, MsgType kind);
+/// Wire format of every WISH message (common/wire.hpp): the versioned
+/// envelope carrying the message's kind, and lists of at most kMaxWishBatch.
+constexpr wire::Format wish_wire(MsgType kind) {
+  return {kWishWireVersion, kind, kMaxWishBatch};
+}
 
 // --- Job table ---------------------------------------------------------------
 
@@ -66,6 +70,7 @@ enum class JobState : std::uint8_t {
   kLost = 4,  // the daemon restarted and has no record of the id
 };
 constexpr std::uint8_t kJobStateCount = 5;
+constexpr int enum_count(JobState) { return kJobStateCount; }
 [[nodiscard]] const char* job_state_name(JobState s);
 [[nodiscard]] inline bool job_state_terminal(JobState s) {
   return s == JobState::kExited || s == JobState::kKilled || s == JobState::kLost;
@@ -76,9 +81,13 @@ struct JobSpec {
   std::string command;
   Duration runtime = kSecond;
 
-  static constexpr std::size_t kMinWire = 4 + 8;  // empty str + i64 runtime
-  void write(Writer& w) const;
-  static Result<JobSpec> read(Reader& r);
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(command, runtime);
+  }
+  [[nodiscard]] Status validate() const {
+    return wire::check(runtime >= 0, "negative job runtime");
+  }
 };
 
 /// Spawn a batch of jobs on the target daemon.
@@ -86,23 +95,47 @@ struct SpawnRequest {
   Endpoint owner;  // the submitting client, for the job record
   std::vector<JobSpec> jobs;
 
-  [[nodiscard]] Bytes serialize() const;
-  static Result<SpawnRequest> deserialize(const Bytes& data);
+  static constexpr wire::Format kWire = wish_wire(msgtype::kJobSpawn);
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(owner, jobs);
+  }
+  [[nodiscard]] Status validate() const {
+    return wire::check(!jobs.empty(), "empty spawn batch");
+  }
+  [[nodiscard]] Bytes serialize() const { return wire::encode(*this); }
+  static Result<SpawnRequest> deserialize(const Bytes& data) {
+    return wire::decode<SpawnRequest>(data);
+  }
 };
 
 struct SpawnReply {
   std::uint64_t incarnation = 0;  // the daemon's, so owners spot restarts
   std::vector<std::uint64_t> ids;
 
-  [[nodiscard]] Bytes serialize() const;
-  static Result<SpawnReply> deserialize(const Bytes& data);
+  static constexpr wire::Format kWire = wish_wire(msgtype::kJobSpawn);
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(incarnation, ids);
+  }
+  [[nodiscard]] Bytes serialize() const { return wire::encode(*this); }
+  static Result<SpawnReply> deserialize(const Bytes& data) {
+    return wire::decode<SpawnReply>(data);
+  }
 };
 
 struct PollRequest {
   std::vector<std::uint64_t> ids;
 
-  [[nodiscard]] Bytes serialize() const;
-  static Result<PollRequest> deserialize(const Bytes& data);
+  static constexpr wire::Format kWire = wish_wire(msgtype::kJobPoll);
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(ids);
+  }
+  [[nodiscard]] Bytes serialize() const { return wire::encode(*this); }
+  static Result<PollRequest> deserialize(const Bytes& data) {
+    return wire::decode<PollRequest>(data);
+  }
 };
 
 struct JobStatus {
@@ -110,46 +143,82 @@ struct JobStatus {
   JobState state = JobState::kLost;
   std::int64_t exit_code = 0;
 
-  static constexpr std::size_t kMinWire = 8 + 1 + 8;
-  void write(Writer& w) const;
-  static Result<JobStatus> read(Reader& r);
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(id, state, exit_code);
+  }
 };
 
 struct PollReply {
   std::uint64_t incarnation = 0;
   std::vector<JobStatus> jobs;  // one per requested id, in request order
 
-  [[nodiscard]] Bytes serialize() const;
-  static Result<PollReply> deserialize(const Bytes& data);
+  static constexpr wire::Format kWire = wish_wire(msgtype::kJobPoll);
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(incarnation, jobs);
+  }
+  [[nodiscard]] Bytes serialize() const { return wire::encode(*this); }
+  static Result<PollReply> deserialize(const Bytes& data) {
+    return wire::decode<PollReply>(data);
+  }
 };
 
 struct SignalRequest {
   std::uint64_t id = 0;
   std::uint8_t signum = 9;  // only kill is modeled
 
-  [[nodiscard]] Bytes serialize() const;
-  static Result<SignalRequest> deserialize(const Bytes& data);
+  static constexpr wire::Format kWire = wish_wire(msgtype::kJobSignal);
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(id, signum);
+  }
+  [[nodiscard]] Bytes serialize() const { return wire::encode(*this); }
+  static Result<SignalRequest> deserialize(const Bytes& data) {
+    return wire::decode<SignalRequest>(data);
+  }
 };
 
 struct SignalReply {
   JobState state = JobState::kLost;  // the job's state after the signal
 
-  [[nodiscard]] Bytes serialize() const;
-  static Result<SignalReply> deserialize(const Bytes& data);
+  static constexpr wire::Format kWire = wish_wire(msgtype::kJobSignal);
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(state);
+  }
+  [[nodiscard]] Bytes serialize() const { return wire::encode(*this); }
+  static Result<SignalReply> deserialize(const Bytes& data) {
+    return wire::decode<SignalReply>(data);
+  }
 };
 
 struct ReapRequest {
   std::vector<std::uint64_t> ids;
 
-  [[nodiscard]] Bytes serialize() const;
-  static Result<ReapRequest> deserialize(const Bytes& data);
+  static constexpr wire::Format kWire = wish_wire(msgtype::kJobReap);
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(ids);
+  }
+  [[nodiscard]] Bytes serialize() const { return wire::encode(*this); }
+  static Result<ReapRequest> deserialize(const Bytes& data) {
+    return wire::decode<ReapRequest>(data);
+  }
 };
 
 struct ReapReply {
   std::uint32_t reaped = 0;  // terminal jobs actually removed
 
-  [[nodiscard]] Bytes serialize() const;
-  static Result<ReapReply> deserialize(const Bytes& data);
+  static constexpr wire::Format kWire = wish_wire(msgtype::kJobReap);
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(reaped);
+  }
+  [[nodiscard]] Bytes serialize() const { return wire::encode(*this); }
+  static Result<ReapReply> deserialize(const Bytes& data) {
+    return wire::decode<ReapReply>(data);
+  }
 };
 
 // --- Global environment ------------------------------------------------------
@@ -158,22 +227,46 @@ struct EnvSetRequest {
   std::string key;
   std::string value;
 
-  [[nodiscard]] Bytes serialize() const;
-  static Result<EnvSetRequest> deserialize(const Bytes& data);
+  static constexpr wire::Format kWire = wish_wire(msgtype::kEnvSet);
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(key, value);
+  }
+  [[nodiscard]] Status validate() const {
+    return wire::check(!key.empty(), "empty env key");
+  }
+  [[nodiscard]] Bytes serialize() const { return wire::encode(*this); }
+  static Result<EnvSetRequest> deserialize(const Bytes& data) {
+    return wire::decode<EnvSetRequest>(data);
+  }
 };
 
 struct EnvSetReply {
   std::uint64_t version = 0;  // the entry's per-key version after the write
 
-  [[nodiscard]] Bytes serialize() const;
-  static Result<EnvSetReply> deserialize(const Bytes& data);
+  static constexpr wire::Format kWire = wish_wire(msgtype::kEnvSet);
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(version);
+  }
+  [[nodiscard]] Bytes serialize() const { return wire::encode(*this); }
+  static Result<EnvSetReply> deserialize(const Bytes& data) {
+    return wire::decode<EnvSetReply>(data);
+  }
 };
 
 struct EnvGetRequest {
   std::string key;
 
-  [[nodiscard]] Bytes serialize() const;
-  static Result<EnvGetRequest> deserialize(const Bytes& data);
+  static constexpr wire::Format kWire = wish_wire(msgtype::kEnvGet);
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(key);
+  }
+  [[nodiscard]] Bytes serialize() const { return wire::encode(*this); }
+  static Result<EnvGetRequest> deserialize(const Bytes& data) {
+    return wire::decode<EnvGetRequest>(data);
+  }
 };
 
 struct EnvGetReply {
@@ -181,8 +274,15 @@ struct EnvGetReply {
   std::string value;
   std::uint64_t version = 0;
 
-  [[nodiscard]] Bytes serialize() const;
-  static Result<EnvGetReply> deserialize(const Bytes& data);
+  static constexpr wire::Format kWire = wish_wire(msgtype::kEnvGet);
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(found, value, version);
+  }
+  [[nodiscard]] Bytes serialize() const { return wire::encode(*this); }
+  static Result<EnvGetReply> deserialize(const Bytes& data) {
+    return wire::decode<EnvGetReply>(data);
+  }
 };
 
 // --- Synchronization primitives ----------------------------------------------
@@ -206,16 +306,34 @@ struct BarrierEnter {
   /// stopped re-entering, and the unconfirmed remainder hangs.
   bool released_seen = false;
 
-  [[nodiscard]] Bytes serialize() const;
-  static Result<BarrierEnter> deserialize(const Bytes& data);
+  static constexpr wire::Format kWire = wish_wire(msgtype::kBarrierEnter);
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(name, epoch, expected, participant, released_seen);
+  }
+  [[nodiscard]] Status validate() const {
+    return wire::check(!name.empty() && expected >= 1 && expected <= kMaxWishBatch,
+                       "bad barrier name or width");
+  }
+  [[nodiscard]] Bytes serialize() const { return wire::encode(*this); }
+  static Result<BarrierEnter> deserialize(const Bytes& data) {
+    return wire::decode<BarrierEnter>(data);
+  }
 };
 
 struct BarrierEnterReply {
   bool released = false;  // this epoch is complete at the coordinator
   std::uint64_t coordinator_incarnation = 0;
 
-  [[nodiscard]] Bytes serialize() const;
-  static Result<BarrierEnterReply> deserialize(const Bytes& data);
+  static constexpr wire::Format kWire = wish_wire(msgtype::kBarrierEnter);
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(released, coordinator_incarnation);
+  }
+  [[nodiscard]] Bytes serialize() const { return wire::encode(*this); }
+  static Result<BarrierEnterReply> deserialize(const Bytes& data) {
+    return wire::decode<BarrierEnterReply>(data);
+  }
 };
 
 /// Coordinator -> participant push when the barrier completes (a latency
@@ -224,8 +342,15 @@ struct BarrierRelease {
   std::string name;
   std::uint64_t epoch = 0;
 
-  [[nodiscard]] Bytes serialize() const;
-  static Result<BarrierRelease> deserialize(const Bytes& data);
+  static constexpr wire::Format kWire = wish_wire(msgtype::kBarrierRelease);
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(name, epoch);
+  }
+  [[nodiscard]] Bytes serialize() const { return wire::encode(*this); }
+  static Result<BarrierRelease> deserialize(const Bytes& data) {
+    return wire::decode<BarrierRelease>(data);
+  }
 };
 
 /// First claim wins for (name, epoch) at the coordinator. The win is scoped
@@ -236,16 +361,33 @@ struct LeaderClaim {
   std::uint64_t epoch = 0;
   std::string claimant;
 
-  [[nodiscard]] Bytes serialize() const;
-  static Result<LeaderClaim> deserialize(const Bytes& data);
+  static constexpr wire::Format kWire = wish_wire(msgtype::kLeaderClaim);
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(name, epoch, claimant);
+  }
+  [[nodiscard]] Status validate() const {
+    return wire::check(!name.empty() && !claimant.empty(), "empty leader or claimant");
+  }
+  [[nodiscard]] Bytes serialize() const { return wire::encode(*this); }
+  static Result<LeaderClaim> deserialize(const Bytes& data) {
+    return wire::decode<LeaderClaim>(data);
+  }
 };
 
 struct LeaderReply {
   std::string winner;
   std::uint64_t coordinator_incarnation = 0;
 
-  [[nodiscard]] Bytes serialize() const;
-  static Result<LeaderReply> deserialize(const Bytes& data);
+  static constexpr wire::Format kWire = wish_wire(msgtype::kLeaderClaim);
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(winner, coordinator_incarnation);
+  }
+  [[nodiscard]] Bytes serialize() const { return wire::encode(*this); }
+  static Result<LeaderReply> deserialize(const Bytes& data) {
+    return wire::decode<LeaderReply>(data);
+  }
 };
 
 /// One hop of the MPICH-G2-style k-ary distribution tree. The receiver
@@ -259,16 +401,30 @@ struct ScatterRequest {
   Bytes payload;
   std::vector<Endpoint> subtree;  // endpoints below the receiver, in order
 
-  [[nodiscard]] Bytes serialize() const;
-  static Result<ScatterRequest> deserialize(const Bytes& data);
+  static constexpr wire::Format kWire = wish_wire(msgtype::kScatter);
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(name, epoch, payload, subtree);
+  }
+  [[nodiscard]] Bytes serialize() const { return wire::encode(*this); }
+  static Result<ScatterRequest> deserialize(const Bytes& data) {
+    return wire::decode<ScatterRequest>(data);
+  }
 };
 
 struct ScatterReply {
   std::uint32_t delivered = 0;   // receiver + its whole subtree
   std::uint64_t checksum = 0;    // sum over per-node fold (order-independent)
 
-  [[nodiscard]] Bytes serialize() const;
-  static Result<ScatterReply> deserialize(const Bytes& data);
+  static constexpr wire::Format kWire = wish_wire(msgtype::kScatter);
+  template <class Ar>
+  void fields(Ar& ar) {
+    ar(delivered, checksum);
+  }
+  [[nodiscard]] Bytes serialize() const { return wire::encode(*this); }
+  static Result<ScatterReply> deserialize(const Bytes& data) {
+    return wire::decode<ScatterReply>(data);
+  }
 };
 
 /// The per-node contribution to the gather checksum: the payload folded with

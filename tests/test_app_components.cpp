@@ -173,8 +173,8 @@ TEST_F(AppComponentTest, LightSwitchRetriesUntilMdsAppears) {
   gram.start();
   mds.handle(core::msgtype::kMdsQuery, [&gram](const IncomingMessage&, Responder r) {
     Writer w;
-    gossip::write_endpoint(w, gram.self());
-    gossip::write_endpoint(w, Endpoint{"globus-control", 703});
+    wire::write(w, gram.self());
+    wire::write(w, Endpoint{"globus-control", 703});
     w.u32(4);
     r.ok(w.take());
   });

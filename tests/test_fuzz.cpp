@@ -1,19 +1,19 @@
 // Deterministic fuzz tests: every wire decoder must survive arbitrary bytes
 // (returning an error or a valid object, never crashing or reading out of
 // bounds) — the lingua franca's peers are federated machines the paper's
-// toolkit explicitly does not trust to be well-behaved.
+// toolkit explicitly does not trust to be well-behaved. The codec properties
+// run over every message of the non-WISH families (codec_cases.hpp); the
+// WISH family runs them in test_wish.
 #include <gtest/gtest.h>
 
-#include "core/protocol.hpp"
-#include "core/server_directory.hpp"
-#include "gossip/protocol.hpp"
+#include "codec_cases.hpp"
 #include "net/packet.hpp"
-#include "nws/nws.hpp"
 #include "ramsey/graph.hpp"
-#include "ramsey/workunit.hpp"
 
 namespace ew {
 namespace {
+
+using codec_cases::cases;
 
 Bytes random_bytes(Rng& rng, std::size_t max_len) {
   const std::size_t len = rng.below(max_len + 1);
@@ -22,164 +22,42 @@ Bytes random_bytes(Rng& rng, std::size_t max_len) {
   return out;
 }
 
-/// Each decoder under test, type-erased to "parse and tell me if it was ok".
-using Decoder = std::function<bool(const Bytes&)>;
+TEST(Fuzz, EveryValidEncodingRoundTrips) {
+  codec_cases::expect_round_trips(cases(false));
+}
 
-std::vector<std::pair<const char*, Decoder>> decoders() {
-  return {
-      {"ColoredGraph",
-       [](const Bytes& b) { return ramsey::ColoredGraph::deserialize(b).ok(); }},
-      {"WorkSpec", [](const Bytes& b) { return ramsey::WorkSpec::deserialize(b).ok(); }},
-      {"WorkReport",
-       [](const Bytes& b) { return ramsey::WorkReport::deserialize(b).ok(); }},
-      {"Registration",
-       [](const Bytes& b) { return gossip::Registration::deserialize(b).ok(); }},
-      {"Digest", [](const Bytes& b) { return gossip::Digest::deserialize(b).ok(); }},
-      {"Delta", [](const Bytes& b) { return gossip::Delta::deserialize(b).ok(); }},
-      {"ParentDigest",
-       [](const Bytes& b) { return gossip::ParentDigest::deserialize(b).ok(); }},
-      {"GossipBlobList",
-       [](const Bytes& b) { return gossip::deserialize_blob_list(b).ok(); }},
-      {"PollRequest",
-       [](const Bytes& b) { return gossip::PollRequest::deserialize(b).ok(); }},
-      {"PollReply",
-       [](const Bytes& b) { return gossip::PollReply::deserialize(b).ok(); }},
-      {"View", [](const Bytes& b) { return gossip::View::deserialize(b).ok(); }},
-      {"Token", [](const Bytes& b) { return gossip::Token::deserialize(b).ok(); }},
-      {"ClientHello",
-       [](const Bytes& b) { return core::ClientHello::deserialize(b).ok(); }},
-      {"ReportBatch",
-       [](const Bytes& b) { return core::ReportBatch::deserialize(b).ok(); }},
-      {"DirectiveBatch",
-       [](const Bytes& b) { return core::DirectiveBatch::deserialize(b).ok(); }},
-      {"LogRecord", [](const Bytes& b) { return core::LogRecord::deserialize(b).ok(); }},
-      {"StoreRequest",
-       [](const Bytes& b) { return core::StoreRequest::deserialize(b).ok(); }},
-      {"ServerList",
-       [](const Bytes& b) { return core::ServerList::deserialize(b).ok(); }},
-      {"NwsMeasurement",
-       [](const Bytes& b) { return nws::NwsMeasurement::deserialize(b).ok(); }},
-      {"NwsForecastReply",
-       [](const Bytes& b) { return nws::NwsForecastReply::deserialize(b).ok(); }},
-  };
+TEST(Fuzz, EveryStrictPrefixIsRejected) {
+  codec_cases::expect_strict_prefixes_rejected(cases(false));
+}
+
+TEST(Fuzz, EnvelopeVersionAndKindAreEnforced) {
+  codec_cases::expect_envelope_enforced(cases(false));
+}
+
+TEST(Fuzz, HostileCountsCannotDriveAllocation) {
+  codec_cases::expect_hostile_counts_rejected(cases(false));
 }
 
 TEST(Fuzz, DecodersSurviveRandomBytes) {
-  Rng rng(0xF00D);
-  for (const auto& [name, decode] : decoders()) {
-    int accepted = 0;
-    for (int i = 0; i < 3000; ++i) {
-      const Bytes junk = random_bytes(rng, 256);
-      accepted += decode(junk) ? 1 : 0;  // must simply not crash
-    }
-    // Random bytes should almost never be a valid object for the structured
-    // formats (a tiny accept rate is fine for the smallest encodings).
-    EXPECT_LT(accepted, 600) << name;
-  }
+  codec_cases::expect_random_bytes_survived(cases(false), 0xF00D);
 }
 
 TEST(Fuzz, DecodersSurviveBitflippedValidEncodings) {
-  // Take valid encodings and flip one byte at a time: the decoder must
-  // return ok-or-error, never crash, for every single-byte corruption.
-  Rng rng(0xBEEF);
-  ramsey::WorkSpec spec;
-  spec.resume = ramsey::ColoredGraph::random(12, rng);
-  gossip::Token token;
-  token.view.leader = Endpoint{"leader", 1};
-  token.view.members = {Endpoint{"leader", 1}, Endpoint{"m", 2}};
-  token.visited = {Endpoint{"leader", 1}};
-  gossip::PollReply poll_reply;
-  poll_reply.blobs.push_back(
-      gossip::StateBlob{7, ramsey::ColoredGraph::random(8, rng).serialize()});
-  core::ReportBatch batch;
-  batch.client = Endpoint{"client", 2000};
-  batch.seq = 7;
-  batch.want_units = 3;
-  for (int i = 0; i < 3; ++i) {
-    ramsey::WorkReport rep;
-    rep.unit_id = static_cast<std::uint64_t>(i + 1);
-    rep.ops_done = 1000;
-    rep.best_energy = 40;
-    rep.best_graph = ramsey::ColoredGraph::random(8, rng).serialize();
-    batch.reports.push_back(std::move(rep));
-  }
-  core::DirectiveBatch dir;
-  dir.revoke = {9, 11};
-  dir.assign.push_back(spec);
-
-  const std::vector<std::pair<Bytes, Decoder>> cases = {
-      {spec.serialize(),
-       [](const Bytes& b) { return ramsey::WorkSpec::deserialize(b).ok(); }},
-      {token.serialize(),
-       [](const Bytes& b) { return gossip::Token::deserialize(b).ok(); }},
-      {poll_reply.serialize(),
-       [](const Bytes& b) { return gossip::PollReply::deserialize(b).ok(); }},
-      {batch.serialize(),
-       [](const Bytes& b) { return core::ReportBatch::deserialize(b).ok(); }},
-      {dir.serialize(),
-       [](const Bytes& b) { return core::DirectiveBatch::deserialize(b).ok(); }},
-  };
-  for (const auto& [wire, decode] : cases) {
-    for (std::size_t pos = 0; pos < wire.size(); ++pos) {
-      for (std::uint8_t flip : {0x01, 0x80, 0xFF}) {
-        Bytes mutated = wire;
-        mutated[pos] ^= flip;
-        decode(mutated);  // must not crash; result value is irrelevant
-      }
-    }
-    // Truncations at every length must also be safe.
-    for (std::size_t len = 0; len < wire.size(); ++len) {
-      decode(Bytes(wire.begin(), wire.begin() + static_cast<std::ptrdiff_t>(len)));
-    }
-  }
+  codec_cases::expect_bit_flips_survived(cases(false));
 }
 
-TEST(Fuzz, SchedBatchDecodersRejectHugeCounts) {
-  // A hostile peer can claim an enormous element count in a tiny payload;
-  // the batch decoders must reject it up front instead of reserving memory
-  // for elements the stream cannot possibly contain.
-  {
-    Writer w;
-    core::write_sched_header(w, core::msgtype::kSchedDirectiveBatch);
-    w.u32(0xFFFF'FFFFu);  // revoke count far beyond the remaining bytes
-    EXPECT_FALSE(core::DirectiveBatch::deserialize(w.take()).ok());
-  }
-  {
-    Writer w;
-    core::write_sched_header(w, core::msgtype::kSchedDirectiveBatch);
-    w.u32(0);                               // no revokes
-    w.u32(core::kMaxSchedBatch + 1);        // assign count above the hard cap
-    EXPECT_FALSE(core::DirectiveBatch::deserialize(w.take()).ok());
-  }
-  {
-    Writer w;
-    core::write_sched_header(w, core::msgtype::kSchedReportBatch);
-    gossip::write_endpoint(w, Endpoint{"c", 1});
-    w.u64(1);            // seq
-    w.u32(1);            // want_units
-    w.u32(0xFFFF'FFFFu); // report count far beyond the remaining bytes
-    EXPECT_FALSE(core::ReportBatch::deserialize(w.take()).ok());
-  }
-}
-
-TEST(Fuzz, SchedEnvelopeRejectsBadVersionAndKind) {
-  // Future wire versions must be refused rather than misparsed...
-  {
-    Writer w;
-    w.u8(core::kSchedWireVersion + 1);
-    w.u16(static_cast<std::uint16_t>(core::msgtype::kSchedDirectiveBatch));
-    w.u32(0);
-    w.u32(0);
-    EXPECT_FALSE(core::DirectiveBatch::deserialize(w.take()).ok());
-  }
-  // ...and a message of one kind must not decode as another.
-  {
-    Writer w;
-    core::write_sched_header(w, core::msgtype::kSchedReportBatch);
-    w.u32(0);
-    w.u32(0);
-    EXPECT_FALSE(core::DirectiveBatch::deserialize(w.take()).ok());
-  }
+TEST(Fuzz, MinWireIsDerivedFromTheFieldLists) {
+  // The smallest encoding of each list element, which the count guard
+  // divides the remaining bytes by.
+  EXPECT_EQ(wire::min_wire<Endpoint>(), 4u + 2);
+  EXPECT_EQ(wire::min_wire<gossip::StateBlob>(), 2u + 4);
+  EXPECT_EQ(wire::min_wire<gossip::TypeSummary>(), 2u + 8 + 8);
+  EXPECT_EQ(wire::min_wire<gossip::Registration>(), 6u + 4);
+  EXPECT_EQ(wire::min_wire<gossip::CliqueSummary>(), 4u + 4 * 8);
+  EXPECT_EQ(wire::min_wire<ramsey::WorkSpec>(), 8u + 1 + 1 + 1 + 8 + 8 + 1);
+  EXPECT_EQ(wire::min_wire<ramsey::WorkReport>(), 8u + 8 + 8 + 1 + 4);
+  EXPECT_EQ(wire::min_wire<wish::JobSpec>(), 4u + 8);
+  EXPECT_EQ(wire::min_wire<wish::JobStatus>(), 8u + 1 + 8);
 }
 
 TEST(Fuzz, WorkReportRejectsOversizedGraphBlob) {
@@ -192,6 +70,32 @@ TEST(Fuzz, WorkReportRejectsOversizedGraphBlob) {
   w.boolean(false);     // found
   w.u32(1u << 24);      // blob length: 16 MiB of graph that is not there
   EXPECT_FALSE(ramsey::WorkReport::deserialize(w.take()).ok());
+  // A blob one byte past the bound is rejected even when it is all there.
+  ramsey::WorkReport big;
+  big.best_graph.assign(ramsey::kMaxGraphBlob + 1, 0);
+  EXPECT_FALSE(ramsey::WorkReport::deserialize(big.serialize()).ok());
+}
+
+TEST(Fuzz, WorkSpecRejectsOversizedResumeImage) {
+  // A valid graph image padded past the bound: the graph decoder alone would
+  // ignore the padding, the image bound must not.
+  Rng rng(0x5EC);
+  ramsey::WorkSpec spec;
+  spec.resume = ramsey::ColoredGraph::random(6, rng);
+  const Bytes image = spec.resume->serialize();
+  const Bytes valid = spec.serialize();
+  // Everything before the image's length prefix.
+  const Bytes head(valid.begin(), valid.end() - static_cast<std::ptrdiff_t>(4 + image.size()));
+  const auto with_image_of_size = [&](std::size_t size) {
+    Bytes padded = image;
+    padded.resize(size, 0);
+    Writer w;
+    w.raw(head);
+    w.blob(padded);
+    return w.take();
+  };
+  EXPECT_TRUE(ramsey::WorkSpec::deserialize(with_image_of_size(ramsey::kMaxGraphBlob)).ok());
+  EXPECT_FALSE(ramsey::WorkSpec::deserialize(with_image_of_size(ramsey::kMaxGraphBlob + 1)).ok());
 }
 
 TEST(Fuzz, FrameParserSurvivesRandomStreams) {

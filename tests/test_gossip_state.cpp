@@ -251,10 +251,7 @@ TEST(StateStore, DeltaPlannerFindsExactlyTheStaleTypes) {
 // --- Protocol codecs -----------------------------------------------------------------
 
 TEST(ProtocolCodec, EndpointRoundTrip) {
-  Writer w;
-  write_endpoint(w, Endpoint{"host.example", 8080});
-  Reader r(w.bytes());
-  const auto e = read_endpoint(r);
+  const auto e = wire::decode<Endpoint>(wire::encode(Endpoint{"host.example", 8080}));
   ASSERT_TRUE(e.ok());
   EXPECT_EQ(e->host, "host.example");
   EXPECT_EQ(e->port, 8080);
@@ -272,7 +269,7 @@ TEST(ProtocolCodec, RegistrationRoundTrip) {
 
 TEST(ProtocolCodec, RegistrationRejectsHugeTypeList) {
   Writer w;
-  write_endpoint(w, Endpoint{"c", 1});
+  wire::write(w, Endpoint{"c", 1});
   w.u32(1'000'000);
   EXPECT_FALSE(Registration::deserialize(w.bytes()).ok());
 }

@@ -14,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "codec_cases.hpp"
 #include "common/hash.hpp"
 #include "common/rng.hpp"
 #include "gossip/gossip_server.hpp"
@@ -182,160 +183,30 @@ TEST(WishCodec, SyncPrimitivesRoundTrip) {
 
 // ---- Codec negatives ------------------------------------------------------
 
-/// Every WISH decoder, type-erased ("parse and tell me if it was ok"), with
-/// one valid encoding each — the seed corpus for truncation and bit flips.
-struct CodecCase {
-  const char* name;
-  std::function<bool(const Bytes&)> parse;
-  Bytes valid;
-};
-
-std::vector<CodecCase> codec_cases() {
-  SpawnRequest spawn;
-  spawn.owner = Endpoint{"c", 9000};
-  spawn.jobs.push_back({"cmd", kSecond});
-  SpawnReply spawn_rep;
-  spawn_rep.incarnation = 1;
-  spawn_rep.ids = {1, 2};
-  PollRequest poll;
-  poll.ids = {1};
-  PollReply poll_rep;
-  poll_rep.jobs.push_back({1, JobState::kRunning, 0});
-  ReapRequest reap;
-  reap.ids = {1};
-  BarrierEnter enter;
-  enter.name = "b";
-  enter.epoch = 1;
-  enter.expected = 3;
-  enter.participant = Endpoint{"w", 701};
-  ScatterRequest sc;
-  sc.name = "s";
-  sc.payload = {1, 2, 3};
-  sc.subtree = {Endpoint{"w", 701}};
-  return {
-      {"SpawnRequest",
-       [](const Bytes& b) { return SpawnRequest::deserialize(b).ok(); },
-       spawn.serialize()},
-      {"SpawnReply",
-       [](const Bytes& b) { return SpawnReply::deserialize(b).ok(); },
-       spawn_rep.serialize()},
-      {"PollRequest",
-       [](const Bytes& b) { return PollRequest::deserialize(b).ok(); },
-       poll.serialize()},
-      {"PollReply",
-       [](const Bytes& b) { return PollReply::deserialize(b).ok(); },
-       poll_rep.serialize()},
-      {"SignalRequest",
-       [](const Bytes& b) { return SignalRequest::deserialize(b).ok(); },
-       SignalRequest{1, 9}.serialize()},
-      {"SignalReply",
-       [](const Bytes& b) { return SignalReply::deserialize(b).ok(); },
-       SignalReply{JobState::kExited}.serialize()},
-      {"ReapRequest",
-       [](const Bytes& b) { return ReapRequest::deserialize(b).ok(); },
-       reap.serialize()},
-      {"ReapReply",
-       [](const Bytes& b) { return ReapReply::deserialize(b).ok(); },
-       ReapReply{1}.serialize()},
-      {"EnvSetRequest",
-       [](const Bytes& b) { return EnvSetRequest::deserialize(b).ok(); },
-       EnvSetRequest{"k", "v"}.serialize()},
-      {"EnvSetReply",
-       [](const Bytes& b) { return EnvSetReply::deserialize(b).ok(); },
-       EnvSetReply{1}.serialize()},
-      {"EnvGetRequest",
-       [](const Bytes& b) { return EnvGetRequest::deserialize(b).ok(); },
-       EnvGetRequest{"k"}.serialize()},
-      {"EnvGetReply",
-       [](const Bytes& b) { return EnvGetReply::deserialize(b).ok(); },
-       EnvGetReply{true, "v", 1}.serialize()},
-      {"BarrierEnter",
-       [](const Bytes& b) { return BarrierEnter::deserialize(b).ok(); },
-       enter.serialize()},
-      {"BarrierEnterReply",
-       [](const Bytes& b) { return BarrierEnterReply::deserialize(b).ok(); },
-       BarrierEnterReply{true, 1}.serialize()},
-      {"BarrierRelease",
-       [](const Bytes& b) { return BarrierRelease::deserialize(b).ok(); },
-       BarrierRelease{"b", 1}.serialize()},
-      {"LeaderClaim",
-       [](const Bytes& b) { return LeaderClaim::deserialize(b).ok(); },
-       LeaderClaim{"l", 1, "w"}.serialize()},
-      {"LeaderReply",
-       [](const Bytes& b) { return LeaderReply::deserialize(b).ok(); },
-       LeaderReply{"w", 1}.serialize()},
-      {"ScatterRequest",
-       [](const Bytes& b) { return ScatterRequest::deserialize(b).ok(); },
-       sc.serialize()},
-      {"ScatterReply",
-       [](const Bytes& b) { return ScatterReply::deserialize(b).ok(); },
-       ScatterReply{1, 2}.serialize()},
-  };
-}
+// The WISH family's share of the codec property suite (codec_cases.hpp).
+std::vector<codec_cases::CodecCase> wish_cases() { return codec_cases::cases(true); }
 
 TEST(WishCodecNegative, EveryValidEncodingParses) {
-  for (const auto& c : codec_cases()) {
-    EXPECT_TRUE(c.parse(c.valid)) << c.name;
-  }
+  codec_cases::expect_round_trips(wish_cases());
 }
 
 TEST(WishCodecNegative, EveryStrictPrefixIsRejected) {
-  for (const auto& c : codec_cases()) {
-    for (std::size_t len = 0; len < c.valid.size(); ++len) {
-      Bytes prefix(c.valid.begin(),
-                   c.valid.begin() + static_cast<std::ptrdiff_t>(len));
-      EXPECT_FALSE(c.parse(prefix)) << c.name << " prefix " << len;
-    }
-  }
+  codec_cases::expect_strict_prefixes_rejected(wish_cases());
 }
 
 TEST(WishCodecNegative, EnvelopeVersionAndKindAreEnforced) {
-  for (const auto& c : codec_cases()) {
-    Bytes v0 = c.valid;
-    v0[0] = 0;  // version 0: never valid
-    EXPECT_FALSE(c.parse(v0)) << c.name << " version 0";
-    Bytes vfuture = c.valid;
-    vfuture[0] = kWishWireVersion + 1;
-    EXPECT_FALSE(c.parse(vfuture)) << c.name << " future version";
-    Bytes wrong_kind = c.valid;
-    wrong_kind[1] ^= 0xff;  // low byte of the u16 kind
-    EXPECT_FALSE(c.parse(wrong_kind)) << c.name << " wrong kind";
-  }
+  codec_cases::expect_envelope_enforced(wish_cases());
 }
 
 TEST(WishCodecNegative, HostileCountsCannotDriveAllocation) {
-  // A count field past the batch ceiling, and a "plausible" count with no
-  // bytes behind it, must both be rejected before any vector is sized.
-  for (std::uint32_t count : {kMaxWishBatch + 1, 0xffffffffu, 1000u}) {
-    {
-      Writer w;
-      write_wish_header(w, msgtype::kJobPoll);
-      w.u32(count);  // ids follow on the real wire; none here
-      EXPECT_FALSE(PollRequest::deserialize(w.take()).ok()) << count;
-    }
-    {
-      Writer w;
-      write_wish_header(w, msgtype::kJobSpawn);
-      gossip::write_endpoint(w, Endpoint{"c", 9000});
-      w.u32(count);
-      EXPECT_FALSE(SpawnRequest::deserialize(w.take()).ok()) << count;
-    }
-    {
-      Writer w;
-      write_wish_header(w, msgtype::kScatter);
-      w.str("s");
-      w.u64(1);
-      w.blob(Bytes{});
-      w.u32(count);
-      EXPECT_FALSE(ScatterRequest::deserialize(w.take()).ok()) << count;
-    }
-  }
+  codec_cases::expect_hostile_counts_rejected(wish_cases());
 }
 
 TEST(WishCodecNegative, NegativeJobRuntimeIsRejected) {
   Writer w;
-  write_wish_header(w, msgtype::kJobSpawn);
-  gossip::write_endpoint(w, Endpoint{"c", 9000});
+  w.u8(kWishWireVersion);
+  w.u16(msgtype::kJobSpawn);
+  wire::write(w, Endpoint{"c", 9000});
   w.u32(1);
   w.str("cmd");
   w.i64(-1);
@@ -343,26 +214,11 @@ TEST(WishCodecNegative, NegativeJobRuntimeIsRejected) {
 }
 
 TEST(WishCodecFuzz, RandomBytesNeverCrashDecoders) {
-  Rng rng(0x3157u);
-  auto cases = codec_cases();
-  for (int i = 0; i < 2000; ++i) {
-    const std::size_t len = rng.below(129);
-    Bytes noise(len);
-    for (auto& b : noise) b = static_cast<std::uint8_t>(rng.below(256));
-    for (const auto& c : cases) c.parse(noise);  // must not crash
-  }
+  codec_cases::expect_random_bytes_survived(wish_cases(), 0x3157u);
 }
 
 TEST(WishCodecFuzz, BitFlipsOfValidEncodingsNeverCrashDecoders) {
-  for (const auto& c : codec_cases()) {
-    for (std::size_t pos = 0; pos < c.valid.size(); ++pos) {
-      for (std::uint8_t flip : {0x01, 0x80, 0xFF}) {
-        Bytes mutated = c.valid;
-        mutated[pos] ^= flip;
-        c.parse(mutated);  // ok or error, never UB
-      }
-    }
-  }
+  codec_cases::expect_bit_flips_survived(wish_cases());
 }
 
 // ---- EnvStore -------------------------------------------------------------
