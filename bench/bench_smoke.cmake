@@ -14,10 +14,18 @@ if(NOT rc_obs EQUAL 0)
 endif()
 
 # Wire path: --quick shrinks the iteration count but still asserts the
-# one-allocation-encode and zero-copy-parse budgets.
+# one-allocation-encode and zero-copy-parse budgets and the message codecs'
+# allocation counts.
 execute_process(COMMAND ${MICRO_PACKET} --quick RESULT_VARIABLE rc_packet)
 if(NOT rc_packet EQUAL 0)
   message(FATAL_ERROR "micro_packet --quick failed (exit ${rc_packet})")
+endif()
+
+# Ramsey kernels: --quick shrinks the iteration counts but still asserts
+# the Paley(17) counter-example check and the graph image round-trip.
+execute_process(COMMAND ${MICRO_RAMSEY} --quick RESULT_VARIABLE rc_ramsey)
+if(NOT rc_ramsey EQUAL 0)
+  message(FATAL_ERROR "micro_ramsey --quick failed (exit ${rc_ramsey})")
 endif()
 
 # Reliable-call policy arms (retry/hedge vs bare call under injected loss).

@@ -1,22 +1,34 @@
-// Microbenchmark for the wire path (DESIGN.md §3, §11).
+// Microbenchmark for the wire path (DESIGN.md §3, §11, §16).
 //
-// PR 6 rebuilt the per-frame byte plumbing: encode_packet and
-// encode_routed_frame write each frame with exactly one allocation, and
-// FrameParser::next_view() parses with none. This harness times the four
-// legs at a small (64 B) and a large (4 KiB) payload and *gates* on the
-// allocation counts — counted by a replacement global operator new (the
-// micro_obs pattern), so the single-allocation/zero-copy claims are
-// asserted, not assumed. The ns/frame numbers are informational (a loaded
-// CI box must not flake the smoke run); the allocation gates are
-// deterministic and always enforced. Emits ONE machine-readable JSON line
-// (see EXPERIMENTS.md, "Wire-path microbenchmark"):
+// encode_packet and encode_routed_frame write each frame with exactly one
+// allocation, and FrameParser::next_view() parses with none. This harness
+// times the four legs at a small (64 B) and a large (4 KiB) payload and
+// *gates* on the allocation counts — counted by a replacement global
+// operator new (the micro_obs pattern), so the single-allocation/zero-copy
+// claims are asserted, not assumed.
+//
+// The codec arm times encode and decode of the three largest payloads the
+// message codecs carry: a ReportBatch of 8,192 reports with a 10-vertex
+// graph each (the everybench sched_batch shape), a DirectiveBatch of 8,192
+// assigns, and a gossip Delta of 1,000 blobs. It gates on their allocations
+// per encode and per decode, pinned to the counts the hand-written codecs
+// made before the declarative codec (DESIGN.md §16) replaced them.
+//
+// The ns numbers are informational (a loaded CI box must not flake the
+// smoke run); the allocation gates are deterministic and always enforced.
+// Emits ONE machine-readable JSON line (see EXPERIMENTS.md, "Wire-path
+// microbenchmark"):
 //
 //   {"bench":"micro_packet","iters":...,
 //    "ns_encode_64":...,"ns_encode_4096":...,
 //    "ns_encode_routed_64":...,"ns_encode_routed_4096":...,
 //    "ns_parse_copy_64":...,"ns_parse_copy_4096":...,
 //    "ns_parse_view_64":...,"ns_parse_view_4096":...,
-//    "encode_allocs_per_frame":...,"parse_view_allocs":...,"checksum":...}
+//    "encode_allocs_per_frame":...,"parse_view_allocs":...,
+//    "codec_iters":...,
+//    "ns_report_batch_encode":...,"ns_report_batch_decode":...,
+//    "allocs_report_batch_encode":...,"allocs_report_batch_decode":...,
+//    (the same four for directive_batch and delta),"checksum":...}
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -26,6 +38,8 @@
 #include <vector>
 
 #include "bench/bench_util.hpp"
+#include "core/protocol.hpp"
+#include "gossip/protocol.hpp"
 #include "net/packet.hpp"
 #include "net/tcp_transport.hpp"
 
@@ -133,6 +147,69 @@ Leg bench_parse_view(std::size_t iters, const Bytes& frame) {
   });
 }
 
+/// Encode/decode costs of one message, averaged over the leg.
+struct CodecLegs {
+  Leg encode;
+  Leg decode;
+  std::uint64_t encode_allocs = 0;  // per encode
+  std::uint64_t decode_allocs = 0;  // per decode
+};
+
+template <typename T>
+CodecLegs bench_codec(std::size_t iters, const T& msg) {
+  const Bytes wire = msg.serialize();
+  CodecLegs out;
+  out.encode = run_leg(iters, [&](std::size_t) {
+    const Bytes b = msg.serialize();
+    return static_cast<double>(b.size() + b.back());
+  });
+  out.decode = run_leg(iters, [&](std::size_t) {
+    return T::deserialize(wire).ok() ? 1.0 : -1e9;
+  });
+  out.encode_allocs = out.encode.leg_allocs / iters;
+  out.decode_allocs = out.decode.leg_allocs / iters;
+  return out;
+}
+
+core::ReportBatch report_batch() {
+  Rng rng(11);
+  const Bytes graph = ramsey::ColoredGraph::random(10, rng).serialize();
+  core::ReportBatch b;
+  b.client = Endpoint{"c17", 2000};
+  b.seq = 42;
+  b.want_units = 8192;
+  b.reports.resize(8192);
+  for (std::size_t i = 0; i < b.reports.size(); ++i) {
+    b.reports[i].unit_id = 1 + 4 * i;
+    b.reports[i].ops_done = 60'000'000;
+    b.reports[i].best_energy = 40;
+    b.reports[i].best_graph = graph;
+  }
+  return b;
+}
+
+core::DirectiveBatch directive_batch() {
+  core::DirectiveBatch d;
+  d.assign.resize(8192);
+  for (std::size_t i = 0; i < d.assign.size(); ++i) {
+    d.assign[i].unit_id = 1 + 4 * i;
+    d.assign[i].seed = 1000 + i;
+    d.assign[i].kind = static_cast<ramsey::HeuristicKind>(i % 3);
+  }
+  return d;
+}
+
+gossip::Delta delta() {
+  gossip::Delta d;
+  d.clique = 3;
+  d.blobs.resize(1000);
+  for (std::size_t i = 0; i < d.blobs.size(); ++i) {
+    d.blobs[i].type = static_cast<MsgType>(0x0300 + i % 64);
+    d.blobs[i].content.assign(64, static_cast<std::uint8_t>(i));
+  }
+  return d;
+}
+
 }  // namespace
 }  // namespace ew
 
@@ -143,6 +220,7 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "--quick") == 0) quick = true;
   }
   const std::size_t kIters = quick ? 20'000 : 1'000'000;
+  const std::size_t kCodecIters = quick ? 3 : 200;
 
   const Packet small = make_packet(64);
   const Packet large = make_packet(4096);
@@ -160,10 +238,22 @@ int main(int argc, char** argv) {
   const Leg view_64 = bench_parse_view(kIters, small_frame);
   const Leg view_4096 = bench_parse_view(kIters, large_frame);
 
-  const double checksum = enc_64.checksum + enc_4096.checksum +
-                          encr_64.checksum + encr_4096.checksum +
-                          copy_64.checksum + copy_4096.checksum +
-                          view_64.checksum + view_4096.checksum;
+  struct CodecArm {
+    const char* name;
+    CodecLegs legs;
+    std::uint64_t encode_budget;  // allocations per encode
+    std::uint64_t decode_budget;  // allocations per decode
+  };
+  const CodecArm arms[] = {
+      {"report_batch", bench_codec(kCodecIters, report_batch()), 22, 8193},
+      {"directive_batch", bench_codec(kCodecIters, directive_batch()), 19, 1},
+      {"delta", bench_codec(kCodecIters, delta()), 16, 1001},
+  };
+
+  double checksum = enc_64.checksum + enc_4096.checksum + encr_64.checksum +
+                    encr_4096.checksum + copy_64.checksum + copy_4096.checksum +
+                    view_64.checksum + view_4096.checksum;
+  for (const auto& arm : arms) checksum += arm.legs.encode.checksum + arm.legs.decode.checksum;
 
   // Gate 1: encoding is one allocation per frame (the frame buffer itself),
   // for both the bare and the routed encoder, at both payload sizes.
@@ -188,7 +278,15 @@ int main(int argc, char** argv) {
       .f("ns_parse_view_4096", view_4096.ns_per_op, 2)
       .u64("encode_allocs_per_frame", encode_allocs_per_frame)
       .u64("parse_view_allocs", parse_view_allocs)
-      .g("checksum", checksum);
+      .u64("codec_iters", kCodecIters);
+  for (const auto& arm : arms) {
+    const std::string n = arm.name;
+    line.f("ns_" + n + "_encode", arm.legs.encode.ns_per_op, 0)
+        .f("ns_" + n + "_decode", arm.legs.decode.ns_per_op, 0)
+        .u64("allocs_" + n + "_encode", arm.legs.encode_allocs)
+        .u64("allocs_" + n + "_decode", arm.legs.decode_allocs);
+  }
+  line.g("checksum", checksum);
   bench::emit_json("micro_packet", line);
 
   bool ok = true;
@@ -205,6 +303,23 @@ int main(int argc, char** argv) {
                  "parse (budget: 0)\n",
                  static_cast<unsigned long long>(parse_view_allocs));
     ok = false;
+  }
+  for (const auto& arm : arms) {
+    if (arm.legs.encode_allocs != arm.encode_budget ||
+        arm.legs.decode_allocs != arm.decode_budget) {
+      std::fprintf(stderr,
+                   "micro_packet: %s codec made %llu allocations per encode and "
+                   "%llu per decode (budget: exactly %llu and %llu)\n",
+                   arm.name, static_cast<unsigned long long>(arm.legs.encode_allocs),
+                   static_cast<unsigned long long>(arm.legs.decode_allocs),
+                   static_cast<unsigned long long>(arm.encode_budget),
+                   static_cast<unsigned long long>(arm.decode_budget));
+      ok = false;
+    }
+    if (arm.legs.decode.checksum < 0) {
+      std::fprintf(stderr, "micro_packet: %s failed to decode\n", arm.name);
+      ok = false;
+    }
   }
   if (copy_64.checksum < 0 || copy_4096.checksum < 0 ||
       view_64.checksum < 0 || view_4096.checksum < 0) {

@@ -76,16 +76,6 @@ void ShardedWorkPool::reclaim_many(std::span<const std::uint64_t> ids) {
   }
 }
 
-ramsey::WorkSpec ShardedWorkPool::acquire() { return issue_many(1).front(); }
-
-void ShardedWorkPool::report(const ramsey::WorkReport& rep) {
-  shards_[owner_of(rep.unit_id)].report(rep);
-}
-
-void ShardedWorkPool::release(std::uint64_t unit_id) {
-  shards_[owner_of(unit_id)].release(unit_id);
-}
-
 void ShardedWorkPool::set_kind_chooser(WorkPool::KindChooser chooser) {
   for (auto& s : shards_) s.set_kind_chooser(chooser);
 }

@@ -49,11 +49,6 @@ class ShardedWorkPool {
   /// each shard trims its idle frontier once.
   void reclaim_many(std::span<const std::uint64_t> ids);
 
-  // Single-unit shims kept for tests and legacy call sites.
-  ramsey::WorkSpec acquire();
-  void report(const ramsey::WorkReport& rep);
-  void release(std::uint64_t unit_id);
-
   void set_kind_chooser(WorkPool::KindChooser chooser);
 
   [[nodiscard]] bool assigned(std::uint64_t unit_id) const;

@@ -131,7 +131,7 @@ TEST(ShardedWorkPool, SingleShardMatchesPlainWorkPoolBitForBit) {
   std::vector<std::uint64_t> ids;
   for (int i = 0; i < 5; ++i) {
     const auto a = plain.acquire();
-    const auto b = routed.acquire();
+    const auto b = routed.issue_many(1).front();
     ASSERT_EQ(a.unit_id, b.unit_id);
     ASSERT_EQ(a.seed, b.seed);
     ids.push_back(a.unit_id);
@@ -152,8 +152,9 @@ TEST(ShardedWorkPool, IssueUnitRoutesMigrationReissue) {
   const auto specs = pool.issue_many(3);
   const auto id = specs[1].unit_id;
   EXPECT_FALSE(pool.issue_unit(id).has_value());  // still assigned
-  pool.report(report_for(id, 9));
-  pool.release(id);
+  const ramsey::WorkReport rep = report_for(id, 9);
+  pool.report_many({&rep, 1});
+  pool.reclaim_many({&id, 1});
   const auto again = pool.issue_unit(id);
   ASSERT_TRUE(again.has_value());
   EXPECT_EQ(again->unit_id, id);
