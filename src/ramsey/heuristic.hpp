@@ -27,7 +27,7 @@ enum class HeuristicKind : std::uint8_t {
   kTabu = 1,
   kAnneal = 2,
 };
-constexpr int enum_count(HeuristicKind) { return 3; }
+constexpr int enum_count(HeuristicKind) { return static_cast<int>(HeuristicKind::kAnneal) + 1; }
 
 const char* heuristic_name(HeuristicKind k);
 

@@ -86,8 +86,7 @@ class EnvStore {
   [[nodiscard]] std::uint64_t content_digest() const;
 
  private:
-  /// Canonical blob body: the (key, entry) list in key order, at most
-  /// kMaxWishBatch entries.
+  /// Canonical blob body: the (key, entry) list in key order.
   [[nodiscard]] Bytes body() const { return wire::encode(map_); }
 
   std::uint64_t writer_;
