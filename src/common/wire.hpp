@@ -26,11 +26,11 @@
 //     being its key then its value. The count is rejected above the format's
 //     max_list, or above remaining bytes / min_wire<T>(), before any memory
 //     is reserved;
-//   * std::optional<T>: a bool presence flag, then T when present;
-//   * nested messages (types with fields()): their fields inline;
-//   * images (types with serialize(), deserialize() and kMaxImage, e.g. a
+//   * std::optional<T>: a bool presence flag, then T when present. T may be
+//     an image (a type with serialize(), deserialize() and kMaxImage, e.g. a
 //     ColoredGraph): a blob of at most kMaxImage bytes, decoded by the
-//     type's own deserialize().
+//     type's own deserialize();
+//   * nested messages (types with fields()): their fields inline.
 // After a message's fields decode, its validate() runs if it has one; it may
 // also normalise the value (View sorts its members). Bytes after the last
 // field are ignored. Every decode failure is Err::kProtocol.
@@ -329,8 +329,6 @@ class Decoder {
       return take(r_.str(), v);
     } else if constexpr (std::is_same_v<T, Bytes>) {
       return take(r_.blob(), v);
-    } else if constexpr (Image<T>) {
-      return get_image<T>(v);
     } else if constexpr (is_optional<T>) {
       bool present = false;
       if (!get(present)) return false;
@@ -340,7 +338,7 @@ class Decoder {
       }
       using U = typename T::value_type;
       if constexpr (Image<U>) {
-        return get_image<U>(v);
+        return get_image(v);
       } else {
         return get(v.emplace());
       }
@@ -399,8 +397,8 @@ class Decoder {
     return true;
   }
 
-  template <class U, class Dst>
-  bool get_image(Dst& dst) {
+  template <class U>
+  bool get_image(std::optional<U>& dst) {
     std::uint32_t len = 0;
     if (!get(len)) return false;
     if (len > U::kMaxImage) return fail("oversized image");
