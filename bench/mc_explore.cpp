@@ -10,9 +10,9 @@
 //   * sleep-set reduction prunes >= 5x: the same bounds explored with
 //     reduction off must execute >= 5x the branches (aggregated across the
 //     worlds) while visiting the same set of end-state fingerprints;
-//   * the deliberately seeded bug (scheduler WITHOUT the PR 8 seq-dedupe
-//     reply cache, "sched-nodedupe") IS caught, with a minimized repro of
-//     <= 20 choices;
+//   * the deliberately seeded bug ("sched-nodedupe": clients send seq 0,
+//     opting out of the production scheduler's reply cache) IS caught,
+//     with a minimized repro of <= 20 choices;
 //   * that repro replays deterministically (two fresh re-executions agree).
 //
 // Emits ONE machine-readable JSON line:
@@ -79,7 +79,8 @@ int run(bool quick) {
       "sched", [] { return make_sched_world(kSeed, /*dedupe=*/true); },
       sched_opts));
 
-  // The seeded bug: same scheduler world minus the seq-dedupe reply cache.
+  // The seeded bug: same scheduler world, clients opted out of the reply
+  // cache.
   // Reduced exploration only — the repro length + determinism are the gate.
   Options bug_opts = sched_opts;
   bug_opts.stop_at_first_violation = true;

@@ -189,12 +189,7 @@ void SchedulerServer::on_report_batch(const IncomingMessage& msg,
     resp.fail(Err::kProtocol, batch.error().message);
     return;
   }
-  handle_report_batch(std::move(*batch), resp);
-}
-
-void SchedulerServer::handle_report_batch(ReportBatch&& batch,
-                                          const Responder& resp) {
-  auto it = clients_.find(batch.client);
+  auto it = clients_.find(batch->client);
   if (it == clients_.end()) {
     // We do not know this client (scheduler restarted, or the client was
     // swept). Make it re-register rather than guessing.
@@ -205,15 +200,15 @@ void SchedulerServer::handle_report_batch(ReportBatch&& batch,
   // Hedged/retried duplicate: replay the cached reply, touch nothing. This
   // is what makes the batch call safe to hedge — the pool mutations below
   // run exactly once per sequence number.
-  if (batch.seq != 0 && batch.seq == info.last_seq) {
+  if (batch->seq != 0 && batch->seq == info.last_seq) {
     ++replays_;
     obs::registry().counter(obs::names::kSchedBatchReplays).inc();
     resp.ok(Bytes(info.last_reply));
     return;
   }
   ++batches_;
-  reports_ += batch.reports.size();
-  obs::registry().counter(obs::names::kSchedReports).inc(batch.reports.size());
+  reports_ += batch->reports.size();
+  obs::registry().counter(obs::names::kSchedReports).inc(batch->reports.size());
   obs::registry().counter(obs::names::kSchedBatchReports).inc();
   const TimePoint now = node_.executor().now();
   const Duration gap = now - info.last_report;
@@ -222,7 +217,7 @@ void SchedulerServer::handle_report_batch(ReportBatch&& batch,
   std::uint64_t total_ops = 0;
   std::uint64_t batch_best = ~0ULL;
   bool any_found = false;
-  for (const auto& rep : batch.reports) {
+  for (const auto& rep : batch->reports) {
     total_ops += rep.ops_done;
     batch_best = std::min(batch_best, rep.best_energy);
     any_found = any_found || rep.found;
@@ -242,17 +237,17 @@ void SchedulerServer::handle_report_batch(ReportBatch&& batch,
     info.interval.observe(static_cast<double>(gap));
     info.rate.observe(static_cast<double>(total_ops) / to_seconds(gap));
   }
-  pool_.report_many(batch.reports);
-  for (const auto& rep : batch.reports) {
+  pool_.report_many(batch->reports);
+  for (const auto& rep : batch->reports) {
     note_best(rep.best_energy, rep.best_graph, rep.found);
     if (rep.found) store_counterexample(rep);
   }
-  if (!batch.reports.empty()) {
+  if (!batch->reports.empty()) {
     forward_log(info, total_ops, batch_best == ~0ULL ? 0 : batch_best,
                 any_found);
   }
 
-  info.want = clamp_want(batch.want_units);
+  info.want = clamp_want(batch->want_units);
   DirectiveBatch d = std::move(info.pending);
   info.pending = DirectiveBatch{};
   // Top the lease back up to the client's target.
@@ -268,14 +263,14 @@ void SchedulerServer::handle_report_batch(ReportBatch&& batch,
     obs::registry().counter(obs::names::kSchedDispatches).inc(d.assign.size());
     if (obs::trace().enabled()) {
       obs::trace().record(now, obs::SpanKind::kSchedDispatch,
-                          obs::trace().intern(batch.client.to_string()),
+                          obs::trace().intern(batch->client.to_string()),
                           /*a=redirect=*/1,
                           static_cast<std::int64_t>(clients_.size()));
     }
   }
   Bytes reply = d.serialize();
-  if (batch.seq != 0) {
-    info.last_seq = batch.seq;
+  if (batch->seq != 0) {
+    info.last_seq = batch->seq;
     info.last_reply = reply;
   }
   update_pool_gauges();

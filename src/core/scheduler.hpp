@@ -112,11 +112,10 @@ class SchedulerServer {
   };
 
   void on_register(const IncomingMessage& msg, const Responder& resp);
+  /// Absorbs the reports, applies forecasters/policy, and replies with
+  /// pending directives plus a lease top-up (or the cached reply on a
+  /// duplicate seq).
   void on_report_batch(const IncomingMessage& msg, const Responder& resp);
-  /// Shared core for both report paths (the per-unit shim passes a batch of
-  /// one with seq 0): absorbs the reports, applies forecasters/policy, and
-  /// replies with pending directives plus a lease top-up.
-  void handle_report_batch(ReportBatch&& batch, const Responder& resp);
   void sweep_tick();
   void migrate_tick();
   void checkpoint_tick();

@@ -105,11 +105,6 @@ void WorkPool::release_one(std::uint64_t unit_id) {
   }
 }
 
-void WorkPool::release(std::uint64_t unit_id) {
-  release_one(unit_id);
-  trim_idle();
-}
-
 void WorkPool::release_many(std::span<const std::uint64_t> ids) {
   for (auto id : ids) release_one(id);
   trim_idle();

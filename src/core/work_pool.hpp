@@ -14,7 +14,7 @@
 // (first_id = 1, id_stride = 1) is the classic single-pool behavior,
 // bit-identical to the pre-sharding implementation. Batch entry points
 // (report_many / release_many) amortize the idle-frontier bookkeeping over a
-// whole directive batch; the single-unit calls delegate to them.
+// whole directive batch.
 #pragma once
 
 #include <cstdint>
@@ -66,9 +66,8 @@ class WorkPool {
   /// Batch variant: one report per touched unit, unknown ids skipped.
   void report_many(std::span<const ramsey::WorkReport> reps);
 
-  /// The unit's client died or was preempted: make the unit reassignable.
-  void release(std::uint64_t unit_id);
-  /// Batch variant: releases every id, then trims the idle frontier once.
+  /// The units' clients died or were preempted: make every id reassignable,
+  /// then trim the idle frontier once.
   void release_many(std::span<const std::uint64_t> ids);
 
   /// True iff `unit_id` falls in this pool's id residue class.

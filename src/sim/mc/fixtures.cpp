@@ -7,83 +7,18 @@
 #include <utility>
 #include <vector>
 
-#include "common/rng.hpp"
+#include "common/hash.hpp"
 #include "core/protocol.hpp"
-#include "core/work_pool.hpp"
+#include "core/scheduler.hpp"
 #include "gossip/clique.hpp"
 #include "gossip/gossip_server.hpp"
 #include "gossip/state.hpp"
 #include "net/node.hpp"
-#include "obs/invariants.hpp"
-#include "obs/trace.hpp"
-#include "sim/chaos.hpp"
-#include "sim/network_model.hpp"
-#include "sim/sim_transport.hpp"
+#include "ramsey/graph.hpp"
+#include "sim/mc/base_world.hpp"
 
 namespace ew::sim::mc {
 namespace {
-
-// ---------------------------------------------------------------------------
-// Shared scaffolding.
-
-std::uint64_t fnv_mix(std::uint64_t h, const void* data, std::size_t len) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-std::uint64_t fnv_mix(std::uint64_t h, const std::string& s) {
-  return fnv_mix(h, s.data(), s.size());
-}
-
-std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) {
-  return fnv_mix(h, &v, sizeof v);
-}
-
-constexpr std::uint64_t kFnvBasis = 14695981039346656037ull;
-
-/// Deterministic-network base: loss and jitter zeroed so the NetworkModel's
-/// unconditional RNG draws are value-irrelevant (chance(0) is always false,
-/// lognormal(0,0) is exactly 1) — the precondition for the Explorer's
-/// host-disjoint independence relation (DESIGN.md §14). Every host sits in
-/// the default site, so all deliveries take the same base latency and
-/// same-tick sends collide into genuine choice points. Each world owns the
-/// process-wide trace recorder for the duration of its branch.
-class BaseWorld : public World {
- public:
-  explicit BaseWorld(std::uint64_t seed)
-      : network_(Rng(seed)), transport_(events_, network_),
-        chaos_(events_, network_) {
-    network_.set_loss_rate(0.0);
-    network_.set_jitter_sigma(0.0);
-    auto& tr = obs::trace();
-    tr.reset();
-    tr.set_capacity(1u << 16);
-    tr.set_enabled(true);
-  }
-
-  ~BaseWorld() override {
-    auto& tr = obs::trace();
-    tr.set_enabled(false);
-    tr.reset();
-    tr.set_capacity(4096);
-  }
-
-  EventQueue& events() override { return events_; }
-
- protected:
-  std::vector<std::string> trace_violations(const obs::InvariantOptions& io) {
-    return obs::check_invariants(obs::trace(), io).violations;
-  }
-
-  EventQueue events_;
-  NetworkModel network_;
-  SimTransport transport_;
-  ChaosEngine chaos_;
-};
 
 // ---------------------------------------------------------------------------
 // Clique election world: 3 members, explored from t=0.
@@ -97,9 +32,9 @@ class CliqueWorld final : public BaseWorld {
       well_known_.push_back(Endpoint{host(i), 700});
     }
     for (int i = 0; i < kMembers; ++i) start_member(i);
-    chaos_.register_process(host(kMembers - 1),
-                            {[this] { kill_member(kMembers - 1); },
-                             [this] { start_member(kMembers - 1); }});
+    set_fault_target(host(kMembers - 1),
+                     {[this] { kill_member(kMembers - 1); },
+                      [this] { start_member(kMembers - 1); }});
   }
 
   ~CliqueWorld() override {
@@ -112,16 +47,6 @@ class CliqueWorld final : public BaseWorld {
   }
 
   [[nodiscard]] std::string name() const override { return "clique"; }
-
-  std::vector<FaultAction> fault_actions() override {
-    const std::string h = host(kMembers - 1);
-    return {
-        {"crash " + h,
-         [this, h] { chaos_.inject({0, FaultKind::kCrash, h, 0.0}); }},
-        {"restart " + h,
-         [this, h] { chaos_.inject({0, FaultKind::kRestart, h, 0.0}); }},
-    };
-  }
 
   void settle() override { events_.run_for(5 * kMinute); }
 
@@ -228,9 +153,9 @@ class GossipWorld final : public BaseWorld {
     seed_blob(1, kTypeB, 1, "beta-v1");
     seed_blob(2, kTypeB, 2, "beta-v2");
     seed_blob(2, kTypeC, 1, "gamma-v1");
-    chaos_.register_process(host(kServers - 1),
-                            {[this] { kill_server(kServers - 1); },
-                             [this] { start_server(kServers - 1); }});
+    set_fault_target(host(kServers - 1),
+                     {[this] { kill_server(kServers - 1); },
+                      [this] { start_server(kServers - 1); }});
   }
 
   ~GossipWorld() override {
@@ -244,16 +169,6 @@ class GossipWorld final : public BaseWorld {
   [[nodiscard]] std::string name() const override { return "gossip"; }
 
   void warmup() override { events_.run_for(30 * kSecond); }
-
-  std::vector<FaultAction> fault_actions() override {
-    const std::string h = host(kServers - 1);
-    return {
-        {"crash " + h,
-         [this, h] { chaos_.inject({0, FaultKind::kCrash, h, 0.0}); }},
-        {"restart " + h,
-         [this, h] { chaos_.inject({0, FaultKind::kRestart, h, 0.0}); }},
-    };
-  }
 
   void settle() override { events_.run_for(5 * kMinute); }
 
@@ -362,44 +277,44 @@ class GossipWorld final : public BaseWorld {
 };
 
 // ---------------------------------------------------------------------------
-// Scheduler single-delivery world: MiniSched + 2 clients, hedged batches.
+// Scheduler world: the production SchedulerServer + 2 clients, hedged batches.
 
 class SchedWorld final : public BaseWorld {
  public:
   static constexpr int kClients = 2;
-  static constexpr std::uint32_t kWant = 2;     // lease size per client
-  static constexpr std::uint64_t kDoneEnergy = 10'000;
+  static constexpr int kOrder = 8;  // pool graph order: small resume images
   static constexpr Duration kTick = 10 * kSecond;
-  static constexpr Duration kSweepPeriod = 20 * kSecond;
-  static constexpr Duration kStaleAfter = 35 * kSecond;
 
   SchedWorld(std::uint64_t seed, bool dedupe)
-      : BaseWorld(seed), dedupe_(dedupe), sched_ep_{"sched", 700} {
+      : BaseWorld(seed), dedupe_(dedupe), sched_ep_{"sched", 700},
+        progress_(ramsey::ColoredGraph(kOrder).serialize()) {
     {
       EventQueue::LabelScope scope(events_, sched_ep_.host);
-      sched_node_ =
-          std::make_unique<Node>(events_, transport_, sched_ep_);
+      sched_node_ = std::make_unique<Node>(events_, transport_, sched_ep_);
       sched_node_->start();
-      sched_node_->handle(core::msgtype::kSchedRegister,
-                          [this](const IncomingMessage& msg,
-                                 Responder resp) {
-                            handle_register(msg, resp);
-                          });
-      sched_node_->handle(core::msgtype::kSchedReportBatch,
-                          [this](const IncomingMessage& msg,
-                                 Responder resp) {
-                            handle_batch(msg, resp);
-                          });
-      events_.schedule(kSweepPeriod, [this] { sweep(); });
+      core::SchedulerServer::Options o;
+      o.pool.n = kOrder;
+      o.pool.k = 3;
+      o.pool_shards = 2;
+      // Timers that act inside settle(): a crashed client is presumed dead
+      // and its lease reclaimed long before the freeze, while a live one
+      // (reporting every kTick) never overruns the floor. Migration ticks
+      // too, but both clients report at the same rate, so it moves nothing
+      // (a migration queued after the freeze would never be delivered).
+      o.sweep_period = 15 * kSecond;
+      o.overdue_floor = 30 * kSecond;
+      o.migration_period = 20 * kSecond;
+      o.checkpoint_period = 0;
+      sched_ = std::make_unique<core::SchedulerServer>(*sched_node_, o);
+      sched_->start();
     }
     for (int i = 0; i < kClients; ++i) {
       clients_[static_cast<std::size_t>(i)].self =
           Endpoint{"c" + std::to_string(i), 700};
       start_client(i);
     }
-    chaos_.register_process(clients_[0].self.host,
-                            {[this] { kill_client(0); },
-                             [this] { start_client(0); }});
+    set_fault_target(clients_[0].self.host,
+                     {[this] { kill_client(0); }, [this] { start_client(0); }});
   }
 
   ~SchedWorld() override {
@@ -407,6 +322,8 @@ class SchedWorld final : public BaseWorld {
       c.alive = false;
       c.node.reset();
     }
+    sched_->stop();
+    sched_.reset();
     sched_node_.reset();
   }
 
@@ -418,31 +335,22 @@ class SchedWorld final : public BaseWorld {
   // the first report-batch tick so the hedged duplicates are in the window.
   void warmup() override { events_.run_until(events_.now() + 9 * kSecond); }
 
-  std::vector<FaultAction> fault_actions() override {
-    const std::string h = clients_[0].self.host;
-    return {
-        {"crash " + h,
-         [this, h] { chaos_.inject({0, FaultKind::kCrash, h, 0.0}); }},
-        {"restart " + h,
-         [this, h] { chaos_.inject({0, FaultKind::kRestart, h, 0.0}); }},
-    };
-  }
-
   void settle() override {
-    // Let crash sweeps, frontier reissue, and follow-up ticks play out, then
-    // freeze the clients and drain in-flight calls so check() never sees a
-    // reply that is merely still on the wire.
+    // Let the sweep reclaim a crashed client's lease, the frontier reissue
+    // it, and follow-up ticks play out, then freeze the clients and drain
+    // in-flight calls so check() never sees a reply still on the wire.
     events_.run_for(100 * kSecond);
     frozen_ = true;
     events_.run_for(8 * kSecond);
   }
 
   std::vector<std::string> check() override {
+    const std::vector<std::uint64_t> assigned = sched_->pool().assigned_units();
     obs::InvariantOptions io;
-    for (std::uint64_t id : pool_.assigned_units()) io.live_units.insert(id);
+    io.live_units.insert(assigned.begin(), assigned.end());
     std::vector<std::string> v = trace_violations(io);
-    // Single delivery: no unit held by two live clients, and every live
-    // client's lease ledger matches the scheduler's ledger exactly.
+    // Single delivery: no unit held by two live clients, and the live
+    // clients' leases together are exactly what the scheduler has assigned.
     std::map<std::uint64_t, int> holders;
     for (const Client& c : clients_) {
       if (!c.alive) continue;
@@ -453,17 +361,15 @@ class SchedWorld final : public BaseWorld {
         v.push_back("sched: unit " + std::to_string(u) + " held by " +
                     std::to_string(n) + " live clients");
       }
+      if (!io.live_units.contains(u)) {
+        v.push_back("sched: lease divergence: unit " + std::to_string(u) +
+                    " held by a live client, not assigned by the scheduler");
+      }
     }
-    for (const Client& c : clients_) {
-      if (!c.alive) continue;
-      std::set<std::uint64_t> server_view;
-      auto it = sched_clients_.find(c.self);
-      if (it != sched_clients_.end()) server_view = it->second.held;
-      if (server_view != c.held) {
-        v.push_back("sched: lease ledger disagreement for " + c.self.host +
-                    " (client holds " + std::to_string(c.held.size()) +
-                    ", scheduler says " +
-                    std::to_string(server_view.size()) + ")");
+    for (std::uint64_t u : assigned) {
+      if (!holders.contains(u)) {
+        v.push_back("sched: lease divergence: unit " + std::to_string(u) +
+                    " assigned by the scheduler, held by no live client");
       }
     }
     return v;
@@ -471,12 +377,12 @@ class SchedWorld final : public BaseWorld {
 
   [[nodiscard]] std::uint64_t fingerprint() const override {
     std::uint64_t h = kFnvBasis;
-    for (std::uint64_t u : pool_.assigned_units()) h = fnv_mix(h, u);
+    for (std::uint64_t u : sched_->pool().assigned_units()) h = fnv_mix(h, u);
     for (const Client& c : clients_) {
       h = fnv_mix(h, c.self.host + (c.alive ? ":up" : ":down"));
       for (std::uint64_t u : c.held) h = fnv_mix(h, u);
     }
-    h = fnv_mix(h, units_issued_);
+    h = fnv_mix(h, sched_->pool().units_issued());
     return h;
   }
 
@@ -485,120 +391,11 @@ class SchedWorld final : public BaseWorld {
     Endpoint self;
     std::unique_ptr<Node> node;
     std::set<std::uint64_t> held;
+    std::uint32_t want = 1;  // lease target, raised by every batch
     std::uint64_t seq = 0;
     bool alive = false;
+    bool registered = false;
   };
-
-  struct SchedClient {
-    std::set<std::uint64_t> held;
-    std::uint64_t last_seq = 0;
-    Bytes last_reply;
-    TimePoint last_heard = 0;
-  };
-
-  // --- scheduler side -----------------------------------------------------
-
-  void note_issued(std::uint64_t unit_id) {
-    ++units_issued_;
-    if (!obs::trace().enabled()) return;
-    obs::trace().record(events_.now(), obs::SpanKind::kSchedUnitIssued,
-                        obs::trace().intern(sched_ep_.to_string()),
-                        static_cast<std::int64_t>(unit_id));
-  }
-
-  void note_reclaimed(std::uint64_t unit_id, std::int64_t reason) {
-    if (!obs::trace().enabled()) return;
-    obs::trace().record(events_.now(), obs::SpanKind::kSchedUnitReclaimed,
-                        obs::trace().intern(sched_ep_.to_string()),
-                        static_cast<std::int64_t>(unit_id), reason);
-  }
-
-  void release_units(const std::vector<std::uint64_t>& ids,
-                     std::int64_t reason) {
-    for (std::uint64_t id : ids) {
-      if (!pool_.assigned(id)) continue;  // already reclaimed elsewhere
-      pool_.release(id);
-      note_reclaimed(id, reason);
-      for (auto& [ep, sc] : sched_clients_) sc.held.erase(id);
-    }
-  }
-
-  void top_up(SchedClient& sc, std::uint32_t want, core::DirectiveBatch& d) {
-    while (sc.held.size() < want) {
-      ramsey::WorkSpec spec = pool_.acquire();
-      sc.held.insert(spec.unit_id);
-      note_issued(spec.unit_id);
-      d.assign.push_back(std::move(spec));
-    }
-  }
-
-  void handle_register(const IncomingMessage& msg, Responder& resp) {
-    auto hello = core::ClientHello::deserialize(msg.packet.payload);
-    if (!hello.ok()) {
-      resp.fail(Err::kProtocol, "bad hello");
-      return;
-    }
-    SchedClient& sc = sched_clients_[hello->client];
-    release_units({sc.held.begin(), sc.held.end()}, obs::reclaim::kReleased);
-    sc.held.clear();
-    sc.last_seq = 0;
-    sc.last_reply.clear();
-    sc.last_heard = events_.now();
-    core::DirectiveBatch d;
-    top_up(sc, hello->want_units, d);
-    resp.ok(d.serialize());
-  }
-
-  void handle_batch(const IncomingMessage& msg, Responder& resp) {
-    auto b = core::ReportBatch::deserialize(msg.packet.payload);
-    if (!b.ok()) {
-      resp.fail(Err::kProtocol, "bad batch");
-      return;
-    }
-    auto it = sched_clients_.find(b->client);
-    if (it == sched_clients_.end()) {
-      resp.fail(Err::kRejected, "unregistered");
-      return;
-    }
-    SchedClient& sc = it->second;
-    sc.last_heard = events_.now();
-    if (dedupe_ && b->seq != 0 && b->seq == sc.last_seq) {
-      // Duplicate delivery of an already-applied batch: replay the cached
-      // directive verbatim, mutate nothing. This is the PR 8 reply-cache
-      // semantic whose absence the "sched-nodedupe" world demonstrates.
-      resp.ok(sc.last_reply);
-      return;
-    }
-    pool_.report_many(b->reports);
-    std::vector<std::uint64_t> done;
-    for (const auto& r : b->reports) {
-      if (r.best_energy <= kDoneEnergy) done.push_back(r.unit_id);
-    }
-    release_units(done, obs::reclaim::kReleased);
-    core::DirectiveBatch d;
-    d.revoke = done;
-    top_up(sc, b->want_units, d);
-    Bytes reply = d.serialize();
-    sc.last_seq = b->seq;
-    sc.last_reply = reply;
-    resp.ok(reply);
-  }
-
-  void sweep() {
-    const TimePoint now = events_.now();
-    for (auto it = sched_clients_.begin(); it != sched_clients_.end();) {
-      if (now - it->second.last_heard > kStaleAfter) {
-        release_units({it->second.held.begin(), it->second.held.end()},
-                      obs::reclaim::kPresumedDead);
-        it = sched_clients_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    events_.schedule(kSweepPeriod, [this] { sweep(); });
-  }
-
-  // --- client side --------------------------------------------------------
 
   void start_client(int i) {
     Client& c = clients_[static_cast<std::size_t>(i)];
@@ -606,9 +403,9 @@ class SchedWorld final : public BaseWorld {
     c.node = std::make_unique<Node>(events_, transport_, c.self);
     c.node->start();
     c.alive = true;
-    c.held.clear();
     c.seq = 0;
     send_register(c);
+    schedule_tick(c);
   }
 
   void kill_client(int i) {
@@ -616,14 +413,18 @@ class SchedWorld final : public BaseWorld {
     c.alive = false;  // pending tick closures check this and bail
     if (c.node) c.node->crash();
     c.node.reset();
-    c.held.clear();
   }
 
+  /// Join (or rejoin) with an empty lease: the scheduler reclaims whatever
+  /// it still records for this client and issues a fresh one.
   void send_register(Client& c) {
+    c.registered = false;
+    c.held.clear();
+    c.want = 1;
     core::ClientHello h;
     h.client = c.self;
     h.host = c.self.host;
-    h.want_units = kWant;
+    h.want_units = c.want;
     c.node->call(sched_ep_, core::msgtype::kSchedRegister, h.serialize(),
                  CallOptions::fixed(5 * kSecond),
                  [this, &c](Result<Bytes> r) {
@@ -633,7 +434,7 @@ class SchedWorld final : public BaseWorld {
                      return;
                    }
                    apply_directives(c, *r);
-                   schedule_tick(c);
+                   c.registered = true;
                  });
   }
 
@@ -643,30 +444,33 @@ class SchedWorld final : public BaseWorld {
 
   void tick(Client& c) {
     if (!c.alive || frozen_) return;
+    schedule_tick(c);
+    if (!c.registered) return;
     core::ReportBatch b;
     b.client = c.self;
-    b.seq = ++c.seq;
-    b.want_units = kWant;
+    // seq 0 opts out of the scheduler's reply cache: the no-dedupe world.
+    b.seq = dedupe_ ? ++c.seq : 0;
+    // Raising the lease target makes every reply carry a top-up, so a
+    // reply that is lost takes live assignments with it.
+    b.want_units = ++c.want;
     for (std::uint64_t u : c.held) {
       ramsey::WorkReport rep;
       rep.unit_id = u;
       rep.ops_done = 1000;
-      // Deterministic progress: every unit finishes on its first report.
-      // The done report carries no best_graph, so the pool has nothing to
-      // resume and release erases the unit outright — retirement.
       rep.best_energy = u;
-      rep.found = true;
+      // A resume coloring: a reclaimed unit goes to the idle frontier and
+      // is reissued instead of forgotten.
+      rep.best_graph = progress_;
       b.reports.push_back(std::move(rep));
     }
-    c.held.clear();  // everything just reported is finished
     Bytes payload = b.serialize();
     // The hedge: two wire copies of the same batch. The call's reply is
     // honored; the one-way copy models a retry attempt that lost the race —
     // its reply reaches the node with an unknown seq and is dropped. The
     // call is sent first, so the FIFO baseline applies the honored copy
-    // first (benign); only when the Explorer chooses to deliver the
-    // duplicate first does the no-dedupe server hand out the fresh units
-    // under the reply nobody applies.
+    // first (benign); only when the Explorer delivers the duplicate first
+    // does the top-up ride on the reply nobody applies — unless the reply
+    // cache replays it to the call.
     c.node->call(sched_ep_, core::msgtype::kSchedReportBatch, payload,
                  CallOptions::fixed(5 * kSecond),
                  [this, &c](Result<Bytes> r) {
@@ -679,7 +483,6 @@ class SchedWorld final : public BaseWorld {
                  });
     c.node->send_oneway(sched_ep_, core::msgtype::kSchedReportBatch,
                         std::move(payload));
-    schedule_tick(c);
   }
 
   void apply_directives(Client& c, const Bytes& payload) {
@@ -691,11 +494,10 @@ class SchedWorld final : public BaseWorld {
 
   bool dedupe_;
   Endpoint sched_ep_;
-  core::WorkPool pool_{core::WorkPool::Options{}};
+  Bytes progress_;
   std::unique_ptr<Node> sched_node_;
-  std::map<Endpoint, SchedClient> sched_clients_;
+  std::unique_ptr<core::SchedulerServer> sched_;
   std::array<Client, kClients> clients_;
-  std::uint64_t units_issued_ = 0;
   bool frozen_ = false;
 };
 

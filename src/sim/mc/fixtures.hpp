@@ -1,9 +1,10 @@
 // The model checker's protocol fixtures: three small deterministic worlds
 // (3-node clique election, 3-server gossip anti-entropy, scheduler batch
 // delivery with 1 server + 2 clients) rebuilt from a seed for every explored
-// branch. Each fixture zeroes the stochastic network knobs (loss, jitter) so
-// the only nondeterminism left is the one the Explorer controls: the firing
-// order of same-time events and the placement of crash/restart faults.
+// branch. Each runs the production protocol code on the BaseWorld scaffold
+// (base_world.hpp), whose network has no loss or jitter, so the only
+// nondeterminism left is the one the Explorer controls: the firing order of
+// same-time events and the placement of crash/restart faults.
 #pragma once
 
 #include <cstdint>
@@ -27,17 +28,17 @@ std::unique_ptr<World> make_clique_world(std::uint64_t seed);
 /// won.
 std::unique_ptr<World> make_gossip_world(std::uint64_t seed);
 
-/// A miniature scheduler (real ReportBatch/DirectiveBatch wire structs, real
-/// WorkPool, real Node call layer) with two clients whose report batches are
-/// hedged: every tick sends the batch twice, and only the second copy's
-/// reply is honored — the first models a retry loser whose reply the call
-/// layer drops. `dedupe` = the server's seq-based reply cache (PR 8's
-/// semantics). With dedupe on, duplicates replay the cached directive and
-/// the lease ledgers agree on every branch; with dedupe off, a crash +
-/// presumed-dead sweep puts progressed units in the idle frontier, the
-/// duplicate application hands them out under a reply nobody applies, and
-/// the client/server lease ledgers diverge permanently — the deliberately
-/// seeded bug the Explorer must catch with a minimized repro.
+/// The production core::SchedulerServer (2-shard pool, timers fast enough
+/// to sweep and migrate inside settle()) and two clients c0, c1 whose report
+/// batches are hedged: every tick sends the batch as a call plus a one-way
+/// copy whose reply is dropped, and raises the lease target so each reply
+/// carries a top-up. `dedupe` picks the clients' seq: nonzero seqs use the
+/// scheduler's reply cache, so a duplicate replays the top-up to the call;
+/// seq 0 opts out, and delivering the one-way copy first hands the top-up
+/// to the reply nobody applies — the deliberately seeded bug the Explorer
+/// must catch with a minimized repro. Faults: crash c0, restart c0. Checks:
+/// trace invariants; no unit held by two live clients; the live clients'
+/// leases together equal the scheduler's assigned set.
 std::unique_ptr<World> make_sched_world(std::uint64_t seed, bool dedupe);
 
 }  // namespace ew::sim::mc

@@ -9,44 +9,22 @@
 #include <vector>
 
 #include "common/hash.hpp"
-#include "common/rng.hpp"
 #include "net/node.hpp"
-#include "sim/chaos.hpp"
-#include "sim/network_model.hpp"
-#include "sim/sim_transport.hpp"
+#include "sim/mc/base_world.hpp"
 #include "wish/daemon.hpp"
 
 namespace ew::wish {
 namespace {
 
-using sim::ChaosEngine;
 using sim::EventQueue;
-using sim::FaultKind;
-using sim::NetworkModel;
-using sim::SimTransport;
-using sim::mc::FaultAction;
-using sim::mc::World;
+using sim::mc::BaseWorld;
 
-std::uint64_t fnv_mix(std::uint64_t h, std::uint64_t v) {
-  for (std::size_t i = 0; i < sizeof v; ++i) {
-    h ^= (v >> (8 * i)) & 0xff;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-class WishWorld final : public World {
+class WishWorld final : public BaseWorld {
  public:
   static constexpr int kDaemons = 3;
   static constexpr std::uint64_t kEpoch = 1;
 
-  explicit WishWorld(std::uint64_t seed)
-      : network_(Rng(seed)), transport_(events_, network_),
-        chaos_(events_, network_) {
-    // Deterministic network: zero loss/jitter so same-time event order is
-    // the only nondeterminism the Explorer does not control (DESIGN.md §14).
-    network_.set_loss_rate(0.0);
-    network_.set_jitter_sigma(0.0);
+  explicit WishWorld(std::uint64_t seed) : BaseWorld(seed) {
     for (int i = 0; i < kDaemons; ++i) {
       peers_.push_back(Endpoint{host(i), 701});
     }
@@ -55,9 +33,9 @@ class WishWorld final : public World {
     bar_name_ = pick_name("bar", kDaemons - 1);
     lead_name_ = pick_name("lead", kDaemons - 1);
     for (int i = 0; i < kDaemons; ++i) start_daemon(i);
-    chaos_.register_process(host(kDaemons - 1),
-                            {[this] { kill_daemon(kDaemons - 1); },
-                             [this] { restart_daemon(kDaemons - 1); }});
+    set_fault_target(host(kDaemons - 1),
+                     {[this] { kill_daemon(kDaemons - 1); },
+                      [this] { restart_daemon(kDaemons - 1); }});
   }
 
   ~WishWorld() override {
@@ -69,7 +47,6 @@ class WishWorld final : public World {
   }
 
   [[nodiscard]] std::string name() const override { return "wish"; }
-  EventQueue& events() override { return events_; }
 
   // Issue every enter and claim, but run nothing: the sends themselves are
   // the first events the Explorer gets to order.
@@ -78,16 +55,6 @@ class WishWorld final : public World {
       issue_enter(i);
       issue_claim(i);
     }
-  }
-
-  std::vector<FaultAction> fault_actions() override {
-    const std::string h = host(kDaemons - 1);
-    return {
-        {"crash " + h,
-         [this, h] { chaos_.inject({0, FaultKind::kCrash, h, 0.0}); }},
-        {"restart " + h,
-         [this, h] { chaos_.inject({0, FaultKind::kRestart, h, 0.0}); }},
-    };
   }
 
   // Generous grace: covers several re-enter periods (2 s each) plus the
@@ -142,7 +109,7 @@ class WishWorld final : public World {
   }
 
   [[nodiscard]] std::uint64_t fingerprint() const override {
-    std::uint64_t h = 14695981039346656037ull;
+    std::uint64_t h = kFnvBasis;
     for (int i = 0; i < kDaemons; ++i) {
       const auto& d = daemons_[i];
       h = fnv_mix(h, d.daemon ? d.incarnation : 0);
@@ -241,10 +208,6 @@ class WishWorld final : public World {
         });
   }
 
-  EventQueue events_;
-  NetworkModel network_;
-  SimTransport transport_;
-  ChaosEngine chaos_;
   gossip::ComparatorRegistry comparators_;
   std::vector<Endpoint> peers_;
   std::string bar_name_;

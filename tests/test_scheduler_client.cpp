@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 
 #include "core/client.hpp"
 #include "core/logging_service.hpp"
@@ -330,6 +331,76 @@ TEST_F(SchedulerClientTest, RetiredPerUnitReportWireIsRejected) {
   events_.run_for(5 * kSecond);
   EXPECT_TRUE(accepted);
   EXPECT_EQ(sched.reports_received(), 1u);
+}
+
+TEST_F(SchedulerClientTest, ReplyCacheReplaysTopUpAndSeqZeroOptsOut) {
+  // The reply cache that makes a hedged batch safe: a duplicate nonzero seq
+  // gets the first reply back byte for byte — lease top-up included — and
+  // the pool is not touched again. seq 0 opts out on the wire: the same
+  // batch is absorbed twice and only the first reply carries the top-up.
+  auto& sched = add_scheduler("sched", 20, 4);
+  auto fake = std::make_unique<Node>(events_, transport_, Endpoint{"fake", 2100});
+  fake->start();
+  auto call = [&](MsgType type, const Bytes& payload) {
+    std::optional<Bytes> reply;
+    fake->call(Endpoint{"sched", 601}, type, payload,
+               CallOptions::fixed(kSecond), [&reply](Result<Bytes> r) {
+                 ASSERT_TRUE(r.ok());
+                 reply = *r;
+               });
+    events_.run_for(5 * kSecond);
+    EXPECT_TRUE(reply.has_value());
+    return reply.value_or(Bytes{});
+  };
+  auto assigns = [](const Bytes& reply) {
+    auto d = DirectiveBatch::deserialize(reply);
+    EXPECT_TRUE(d.ok());
+    return d.ok() ? d->assign.size() : 0u;
+  };
+
+  const Endpoint worker{"worker", 2000};
+  ClientHello hello;
+  hello.client = worker;
+  hello.host = "worker";
+  hello.want_units = 1;
+  auto registered = DirectiveBatch::deserialize(
+      call(msgtype::kSchedRegister, hello.serialize()));
+  ASSERT_TRUE(registered.ok());
+  ASSERT_EQ(registered->assign.size(), 1u);
+
+  ReportBatch batch;
+  batch.client = worker;
+  batch.seq = 1;
+  batch.want_units = 2;  // raise the lease: the reply must carry a top-up
+  ramsey::WorkReport rep;
+  rep.unit_id = registered->assign.front().unit_id;
+  rep.ops_done = 1000;
+  rep.best_energy = 40;
+  batch.reports.push_back(rep);
+  const Bytes first = call(msgtype::kSchedReportBatch, batch.serialize());
+  EXPECT_EQ(assigns(first), 1u);
+  EXPECT_EQ(sched.pool().units_issued(), 2u);
+  EXPECT_EQ(sched.batch_replays(), 0u);
+
+  const Bytes again = call(msgtype::kSchedReportBatch, batch.serialize());
+  EXPECT_EQ(again, first);                      // byte-identical replay
+  EXPECT_EQ(sched.batch_replays(), 1u);
+  EXPECT_EQ(sched.pool().units_issued(), 2u);   // no second issue
+  EXPECT_EQ(sched.pool().assigned_count(), 2u);
+  EXPECT_EQ(sched.report_batches_received(), 1u);
+  EXPECT_EQ(sched.reports_received(), 1u);
+
+  batch.seq = 0;
+  batch.want_units = 3;
+  const Bytes absorbed = call(msgtype::kSchedReportBatch, batch.serialize());
+  EXPECT_EQ(assigns(absorbed), 1u);
+  const Bytes reabsorbed = call(msgtype::kSchedReportBatch, batch.serialize());
+  EXPECT_EQ(assigns(reabsorbed), 0u);           // the top-up went out once
+  EXPECT_EQ(sched.batch_replays(), 1u);         // no replay for seq 0
+  EXPECT_EQ(sched.report_batches_received(), 3u);
+  EXPECT_EQ(sched.reports_received(), 3u);
+  EXPECT_EQ(sched.pool().units_issued(), 3u);
+  EXPECT_EQ(sched.pool().assigned_count(), 3u);
 }
 
 TEST_F(SchedulerClientTest, ShardedRestartReplaysPerShardWithoutDoubleIssue) {

@@ -2,6 +2,8 @@
 // resume-on-release, and footprint bounding.
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "core/work_pool.hpp"
 
 namespace ew::core {
@@ -49,7 +51,7 @@ TEST(WorkPool, ReleasedReportedUnitResumesWithColoring) {
   WorkPool pool(small_pool());
   const auto spec = pool.acquire();
   pool.report(report_for(spec.unit_id, 25));
-  pool.release(spec.unit_id);
+  pool.release_many(std::array{spec.unit_id});
   EXPECT_EQ(pool.idle_frontier_size(), 1u);
   const auto again = pool.acquire();
   EXPECT_EQ(again.unit_id, spec.unit_id);
@@ -60,7 +62,7 @@ TEST(WorkPool, ReleasedReportedUnitResumesWithColoring) {
 TEST(WorkPool, ReleasedUnreportedUnitIsForgotten) {
   WorkPool pool(small_pool());
   const auto spec = pool.acquire();
-  pool.release(spec.unit_id);
+  pool.release_many(std::array{spec.unit_id});
   EXPECT_EQ(pool.idle_frontier_size(), 0u);
   const auto next = pool.acquire();
   EXPECT_NE(next.unit_id, spec.unit_id);
@@ -72,8 +74,8 @@ TEST(WorkPool, AcquirePrefersLowestEnergyFrontier) {
   const auto b = pool.acquire();
   pool.report(report_for(a.unit_id, 50));
   pool.report(report_for(b.unit_id, 5));
-  pool.release(a.unit_id);
-  pool.release(b.unit_id);
+  pool.release_many(std::array{a.unit_id});
+  pool.release_many(std::array{b.unit_id});
   EXPECT_EQ(pool.acquire().unit_id, b.unit_id);
 }
 
@@ -82,7 +84,7 @@ TEST(WorkPool, AcquireUnitOnlyWhenIdle) {
   const auto spec = pool.acquire();
   EXPECT_FALSE(pool.acquire_unit(spec.unit_id).has_value());  // assigned
   pool.report(report_for(spec.unit_id, 9));
-  pool.release(spec.unit_id);
+  pool.release_many(std::array{spec.unit_id});
   const auto again = pool.acquire_unit(spec.unit_id);
   ASSERT_TRUE(again.has_value());
   EXPECT_TRUE(pool.assigned(spec.unit_id));
@@ -109,7 +111,7 @@ TEST(WorkPool, IdleFrontierBounded) {
   }
   for (std::size_t i = 0; i < ids.size(); ++i) {
     pool.report(report_for(ids[i], 100 - i));  // later units are better
-    pool.release(ids[i]);
+    pool.release_many(std::array{ids[i]});
   }
   EXPECT_LE(pool.idle_frontier_size(), 4u);
   // The survivors are the best (lowest-energy) units.
@@ -226,7 +228,7 @@ TEST(WorkPool, ImportFiltersForeignIds) {
 }
 
 TEST(WorkPool, BatchAndSingleCallsLeaveIdenticalState) {
-  // report_many/release_many are the span form of report/release: feeding
+  // report_many/release_many over a whole batch versus one unit per call:
   // the same sequence through either path must leave bit-identical state.
   WorkPool single(small_pool());
   WorkPool batch(small_pool());
@@ -241,7 +243,7 @@ TEST(WorkPool, BatchAndSingleCallsLeaveIdenticalState) {
   for (auto id : ids) reps.push_back(report_for(id, 90 - 7 * id));
   for (const auto& rep : reps) single.report(rep);
   batch.report_many(reps);
-  for (auto id : ids) single.release(id);
+  for (auto id : ids) single.release_many(std::array{id});
   batch.release_many(ids);
   EXPECT_EQ(single.export_frontier(), batch.export_frontier());
   EXPECT_EQ(single.idle_frontier_size(), batch.idle_frontier_size());
@@ -272,7 +274,7 @@ TEST(WorkPool, DirtyFlagTracksCheckpointableChanges) {
   EXPECT_TRUE(pool.dirty());
   pool.clear_dirty();
   EXPECT_FALSE(pool.dirty());
-  pool.release(spec.unit_id);
+  pool.release_many(std::array{spec.unit_id});
   EXPECT_TRUE(pool.dirty());
 }
 
