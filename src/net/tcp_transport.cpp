@@ -47,25 +47,14 @@ Bytes encode_routed_frame(const Packet& p, const Endpoint& src,
   // the whole frame is one allocation written front to back.
   const std::size_t routing =
       4 + src.host.size() + 2 + 4 + dst.host.size() + 2;
-  const std::size_t wire_len = routing + p.payload.size();
-  Writer w(wire::kHeaderSize + wire_len);
-  w.u32(wire::kMagic);
-  w.u8(wire::kVersion);
-  w.u8(static_cast<std::uint8_t>(p.kind));
-  w.u16(p.type);
-  w.u64(p.seq);
-  w.u32(static_cast<std::uint32_t>(wire_len));
-  w.u32(0);  // checksum placeholder — covers bytes not yet written
-  w.str(src.host);
-  w.u16(src.port);
-  w.str(dst.host);
-  w.u16(dst.port);
-  w.raw(p.payload);
-  w.patch_u32(wire::kHeaderSize - 4,
-              wire::checksum(p.type, p.seq,
-                             std::span<const std::uint8_t>(w.bytes())
-                                 .subspan(wire::kHeaderSize)));
-  return w.take();
+  return wire::encode_frame(p.kind, p.type, p.seq, routing + p.payload.size(),
+                            [&](Writer& w) {
+                              w.str(src.host);
+                              w.u16(src.port);
+                              w.str(dst.host);
+                              w.u16(dst.port);
+                              w.raw(p.payload);
+                            });
 }
 
 TcpTransport::TcpTransport(Reactor& reactor, std::string_view metrics_label)

@@ -224,13 +224,69 @@ TEST(FrameParser, ChecksumFieldCorruptionDetected) {
   EXPECT_EQ(fp.next().code(), Err::kProtocol);
 }
 
-TEST(Packet, ChecksumCoversTypeSeqAndPayload) {
+TEST(Packet, ChecksumCoversHeaderFieldsAndPayload) {
+  // The checksum takes the finished frame; every header field after the
+  // magic and every payload byte feeds it.
+  const auto sum = [](PacketKind kind, MsgType type, std::uint64_t seq,
+                      Bytes payload) {
+    return wire::checksum(
+        encode_packet(make_packet(kind, type, seq, std::move(payload))));
+  };
   const Bytes payload{1, 2, 3};
-  const auto base = wire::checksum(7, 9, payload);
-  EXPECT_EQ(wire::checksum(7, 9, payload), base);  // deterministic
-  EXPECT_NE(wire::checksum(8, 9, payload), base);
-  EXPECT_NE(wire::checksum(7, 10, payload), base);
-  EXPECT_NE(wire::checksum(7, 9, Bytes{1, 2, 4}), base);
+  const auto base = sum(PacketKind::kRequest, 7, 9, payload);
+  EXPECT_EQ(sum(PacketKind::kRequest, 7, 9, payload), base);  // deterministic
+  EXPECT_NE(sum(PacketKind::kRequest, 8, 9, payload), base);
+  EXPECT_NE(sum(PacketKind::kRequest, 7, 10, payload), base);
+  EXPECT_NE(sum(PacketKind::kRequest, 7, 9, Bytes{1, 2, 4}), base);
+  EXPECT_NE(sum(PacketKind::kOneWay, 7, 9, payload), base);
+  EXPECT_NE(sum(PacketKind::kResponse, 7, 9, payload), base);
+
+  Bytes frame = encode_packet(make_packet(PacketKind::kRequest, 7, 9, payload));
+  frame[16] ^= 0x01;  // length field, bytes 16..19
+  EXPECT_NE(wire::checksum(frame), base);
+  frame[16] ^= 0x01;
+  frame[4] ^= 0x01;  // version byte
+  EXPECT_NE(wire::checksum(frame), base);
+  frame[4] ^= 0x01;
+  // The magic and the checksum field itself are outside the sum.
+  frame[0] ^= 0xFF;
+  frame[wire::kChecksumOffset] ^= 0xFF;
+  EXPECT_EQ(wire::checksum(frame), base);
+}
+
+TEST(FrameParser, RejectsV2Frames) {
+  Bytes frame = encode_packet(make_packet(PacketKind::kOneWay, 1, 1, {1, 2}));
+  frame[4] = 2;  // a v2 peer's version byte
+  FrameParser fp;
+  fp.feed(frame);
+  const auto out = fp.next_view();
+  ASSERT_EQ(out.code(), Err::kProtocol);
+  EXPECT_EQ(out.error().message, "unsupported version 2");
+  EXPECT_TRUE(fp.poisoned());
+}
+
+TEST(FrameParser, SingleBitFlipNeverDeliversTheDamagedFrame) {
+  // Regression: the v2 checksum skipped the kind byte, so flipping bit 0 of
+  // byte 5 turned a kRequest into a kOneWay (or a kResponse into a kOneWay)
+  // and next_view() accepted it — a silently unanswered call. Now every
+  // single-bit flip after the magic must stop the damaged frame, with a
+  // valid frame queued behind it so that a length flip cannot simply wait
+  // for more bytes.
+  const Bytes trailer =
+      encode_packet(make_packet(PacketKind::kOneWay, 2, 2, Bytes(40, 0x11)));
+  for (PacketKind kind :
+       {PacketKind::kOneWay, PacketKind::kRequest, PacketKind::kResponse}) {
+    const Bytes frame = encode_packet(make_packet(kind, 0x0203, 77, {9, 8, 7, 6, 5}));
+    for (std::size_t bit = 4 * 8; bit < frame.size() * 8; ++bit) {
+      Bytes stream = frame;
+      stream[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+      stream.insert(stream.end(), trailer.begin(), trailer.end());
+      FrameParser fp;
+      fp.feed(stream);
+      EXPECT_FALSE(fp.next_view().ok())
+          << "kind " << static_cast<int>(kind) << " bit " << bit;
+    }
+  }
 }
 
 TEST(FrameParser, MaxPayloadBoundaryAccepted) {

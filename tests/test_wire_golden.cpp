@@ -4,15 +4,18 @@
 // encoding, and hostile u32 counts written at every offset). The digest folds
 // in, for each input, whether it was accepted and the bytes the decoded value
 // re-encodes to, so it pins the accept/reject set and the decoded values.
-// A codec rewrite must leave every pin unchanged.
+// A codec rewrite must leave every pin unchanged. The frame that carries
+// every message (wire v3 header + CRC32C) is pinned here too.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "common/hash.hpp"
+#include "net/packet.hpp"
 #include "wire_samples.hpp"
 
 namespace ew {
@@ -253,6 +256,46 @@ TEST(WireGolden, EncodingsAndDecoderDigestsArePinned) {
   });
   EXPECT_EQ(checked, static_cast<int>(pins().size()));
   if (!report.empty()) std::printf("Current pins:\n%s", report.c_str());
+}
+
+/// Bit-at-a-time CRC32C (reflected 0x82F63B78), independent of the kernels
+/// behind wire::checksum.
+std::uint32_t reference_crc32c(std::span<const std::uint8_t> data,
+                               std::uint32_t crc) {
+  crc = ~crc;
+  for (std::uint8_t b : data) {
+    crc ^= b;
+    for (int i = 0; i < 8; ++i) crc = (crc >> 1) ^ ((crc & 1u) ? 0x82F63B78u : 0u);
+  }
+  return ~crc;
+}
+
+TEST(WireGolden, FrameV3IsPinnedByteForByte) {
+  // The frame around every message (net/packet.hpp), pinned the same way.
+  const std::string_view text = "EveryWare";
+  Packet p;
+  p.kind = PacketKind::kRequest;
+  p.type = 0x0102;
+  p.seq = 0x0807060504030201ull;
+  p.payload.assign(text.begin(), text.end());
+  const Bytes frame = encode_packet(p);
+  EXPECT_EQ(to_hex(frame),
+            "52575645"          // magic 'EVWR'
+            "03"                // version
+            "01"                // kind: request
+            "0201"              // type
+            "0102030405060708"  // seq
+            "09000000"          // length
+            "0e078050"          // checksum (little-endian)
+            "4576657279576172" "65");
+  // The checksum field holds CRC32C over bytes 4..19, then the payload.
+  const auto bytes = std::span<const std::uint8_t>(frame);
+  const std::uint32_t want = reference_crc32c(
+      bytes.subspan(wire::kHeaderSize),
+      reference_crc32c(bytes.subspan(4, 16), 0));
+  Reader r(bytes.subspan(wire::kChecksumOffset, 4));
+  EXPECT_EQ(*r.u32(), want);
+  EXPECT_EQ(wire::checksum(frame), want);
 }
 
 }  // namespace
