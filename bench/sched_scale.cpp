@@ -29,11 +29,18 @@
 //   {"bench":"sched_scale","clients":128,"lease":8192,"shards":8,
 //    "outstanding":...,"units_issued":...,"frontier":...,"reports":...,
 //    "batches":...,"replays":...,"steals":...,"presumed_dead":...,
-//    "double_issued":0,"lost":0,"p99_directive_us":...,"sim_events":...}
+//    "double_issued":0,"lost":0,"p99_directive_us":...,"sim_events":...,
+//    "register_wall_s":...,"wall_s":...}
+//
+// wall_s is the host time of the whole simulated run (scheduler start to the
+// replay probe); register_wall_s is its registration ramp alone, where the
+// pool mints every unit. Both are real costs of the pool and scheduler, not
+// simulated time.
 //
 // --quick shrinks the fleet (64 clients x 512 units, 4 shards) for the CI
 // smoke run but keeps every correctness gate.
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -197,6 +204,12 @@ int main(int argc, char** argv) {
   const std::uint64_t target =
       static_cast<std::uint64_t>(kClients) * kLease;
 
+  using Clock = std::chrono::steady_clock;
+  const auto seconds_since = [](Clock::time_point t0) {
+    return std::chrono::duration<double>(Clock::now() - t0).count();
+  };
+  const Clock::time_point wall_start = Clock::now();
+
   sim::EventQueue events;
   sim::NetworkModel net{Rng(0x5CED)};
   net.set_loss_rate(0.0);
@@ -232,7 +245,9 @@ int main(int argc, char** argv) {
     events.schedule(static_cast<Duration>(i) * 50 * kMillisecond,
                     [&driver, i, kLease] { driver.register_client(i, kLease); });
   }
+  const Clock::time_point register_start = Clock::now();
   events.run_for(30 * kSecond);
+  const double register_wall_s = seconds_since(register_start);
 
   auto run_round = [&](int round, std::size_t probe = SIZE_MAX) {
     for (std::size_t i = 0; i < driver.clients.size(); ++i) {
@@ -322,6 +337,7 @@ int main(int argc, char** argv) {
   const bool replay_pure =
       sched.pool().assigned_count() == assigned_before_probe;
 
+  const double wall_s = seconds_since(wall_start);
   const std::uint64_t outstanding = sched.pool().assigned_count();
   const std::uint64_t p99 = percentile_us(driver.latencies_us, 0.99);
   const std::uint64_t p50 = percentile_us(driver.latencies_us, 0.50);
@@ -347,7 +363,9 @@ int main(int argc, char** argv) {
       .u64("call_failures", driver.call_failures)
       .u64("p50_directive_us", p50)
       .u64("p99_directive_us", p99)
-      .u64("sim_events", events.executed());
+      .u64("sim_events", events.executed())
+      .f("register_wall_s", register_wall_s)
+      .f("wall_s", wall_s);
   bench::emit_json("sched_scale", w);
 
   int rc = 0;
