@@ -50,6 +50,10 @@ std::optional<ramsey::WorkSpec> ShardedWorkPool::issue_unit(
   return shards_[owner_of(unit_id)].acquire_unit(unit_id);
 }
 
+void ShardedWorkPool::report(const ramsey::WorkReport& rep) {
+  shards_[owner_of(rep.unit_id)].report(rep);
+}
+
 void ShardedWorkPool::report_many(std::span<const ramsey::WorkReport> reps) {
   if (shards_.size() == 1) {
     shards_.front().report_many(reps);

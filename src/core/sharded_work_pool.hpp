@@ -43,6 +43,8 @@ class ShardedWorkPool {
   std::vector<ramsey::WorkSpec> issue_many(std::size_t n);
   /// Re-issue one specific idle unit (migration path).
   std::optional<ramsey::WorkSpec> issue_unit(std::uint64_t unit_id);
+  /// Apply one progress report, routed to the owning shard.
+  void report(const ramsey::WorkReport& rep);
   /// Apply a batch of progress reports, routed to owning shards.
   void report_many(std::span<const ramsey::WorkReport> reps);
   /// Release a batch of units (client dead, revoked, or re-registered);

@@ -3,13 +3,16 @@
 // and the counter-example path end to end.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <memory>
 #include <optional>
 
+#include "common/hash.hpp"
 #include "core/client.hpp"
 #include "core/logging_service.hpp"
 #include "core/persistent_state.hpp"
 #include "core/scheduler.hpp"
+#include "obs/trace.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/network_model.hpp"
 #include "sim/sim_transport.hpp"
@@ -401,6 +404,143 @@ TEST_F(SchedulerClientTest, ReplyCacheReplaysTopUpAndSeqZeroOptsOut) {
   EXPECT_EQ(sched.reports_received(), 3u);
   EXPECT_EQ(sched.pool().units_issued(), 3u);
   EXPECT_EQ(sched.pool().assigned_count(), 3u);
+}
+
+TEST_F(SchedulerClientTest, LargeLeaseMigrationIsPinned) {
+  // Two clients hold full 8,192-unit leases; the slow one's best half moves
+  // to the fast one, which then sheds as many of its own units. The
+  // directives both clients receive, the pool's state and the order of the
+  // scheduler's unit spans are pinned. A 2,000-unit idle cap per shard
+  // makes the release trim some moved units, so both the skip path (a
+  // trimmed unit stays in the slow lease) and the fast trim are covered.
+  auto node = std::make_unique<Node>(events_, transport_, Endpoint{"sched", 601});
+  node->start();
+  SchedulerServer::Options o;
+  o.pool.n = 10;
+  o.pool.k = 4;
+  o.pool.max_idle_frontier = 2000;
+  o.pool_shards = 2;
+  o.sweep_period = 20 * kSecond;
+  o.migration_period = 30 * kSecond;
+  o.migration_cooldown = 0;
+  o.checkpoint_period = 0;
+  SchedulerServer sched(*node, o);
+  sched.start();
+  auto fake = std::make_unique<Node>(events_, transport_, Endpoint{"fake", 2100});
+  fake->start();
+  auto call = [&](MsgType type, const Bytes& payload) {
+    std::optional<Bytes> reply;
+    fake->call(Endpoint{"sched", 601}, type, payload,
+               CallOptions::fixed(kSecond), [&reply](Result<Bytes> r) {
+                 ASSERT_TRUE(r.ok());
+                 reply = *r;
+               });
+    events_.run_for(kSecond);
+    EXPECT_TRUE(reply.has_value());
+    return reply.value_or(Bytes{});
+  };
+
+  const std::array<Endpoint, 2> eps = {Endpoint{"slow", 2000},
+                                       Endpoint{"fast", 2000}};
+  const std::array<std::uint64_t, 2> ops = {1'000, 1'000'000'000};
+  std::array<std::vector<std::uint64_t>, 2> leases;
+  for (std::size_t c = 0; c < 2; ++c) {
+    ClientHello hello;
+    hello.client = eps[c];
+    hello.host = eps[c].host;
+    hello.want_units = 8192;
+    auto d = DirectiveBatch::deserialize(
+        call(msgtype::kSchedRegister, hello.serialize()));
+    ASSERT_TRUE(d.ok());
+    for (const auto& spec : d->assign) leases[c].push_back(spec.unit_id);
+    ASSERT_EQ(leases[c].size(), 8192u);
+  }
+  Rng rng(5);
+  const Bytes graph = ramsey::ColoredGraph::random(10, rng).serialize();
+  std::array<std::uint64_t, 2> seq = {0, 0};
+  auto report = [&](std::size_t c) {
+    ReportBatch batch;
+    batch.client = eps[c];
+    batch.seq = ++seq[c];
+    batch.want_units = 8192;
+    for (auto id : leases[c]) {
+      ramsey::WorkReport rep;
+      rep.unit_id = id;
+      rep.ops_done = ops[c];
+      rep.best_energy = 100 + (id * 7919) % 1000;
+      rep.best_graph = graph;
+      batch.reports.push_back(std::move(rep));
+    }
+    auto d = DirectiveBatch::deserialize(
+        call(msgtype::kSchedReportBatch, batch.serialize()));
+    EXPECT_TRUE(d.ok());
+    return d.ok() ? *d : DirectiveBatch{};
+  };
+  // Three report rounds warm both rate forecasters (by t = 8 s).
+  for (int round = 0; round < 3; ++round) {
+    for (std::size_t c = 0; c < 2; ++c) EXPECT_TRUE(report(c).empty());
+  }
+
+  obs::trace().set_capacity(1 << 15);
+  obs::trace().set_enabled(true);
+  events_.run_for(23 * kSecond);  // the migration tick at t = 30 s
+  const std::vector<obs::SpanEvent> spans = obs::trace().snapshot();
+  obs::trace().set_enabled(false);
+  obs::trace().set_capacity(4096);
+  ASSERT_EQ(sched.migrations(), 1u);
+
+  std::uint64_t span_digest = kFnvBasis;
+  std::size_t unit_spans = 0;
+  for (const obs::SpanEvent& e : spans) {
+    if (e.kind != obs::SpanKind::kSchedUnitIssued &&
+        e.kind != obs::SpanKind::kSchedUnitReclaimed &&
+        e.kind != obs::SpanKind::kSchedMigration) {
+      continue;
+    }
+    ++unit_spans;
+    span_digest = fnv_mix(span_digest, static_cast<std::uint64_t>(e.kind));
+    span_digest = fnv_mix(span_digest, static_cast<std::uint64_t>(e.a));
+    span_digest = fnv_mix(span_digest, static_cast<std::uint64_t>(e.b));
+  }
+
+  // The next report of each client carries the migration's directives.
+  const DirectiveBatch slow_d = report(0);
+  const DirectiveBatch fast_d = report(1);
+  auto fold_ids = [](std::uint64_t h, const std::vector<std::uint64_t>& ids) {
+    h = fnv_mix(h, static_cast<std::uint64_t>(ids.size()));
+    for (auto id : ids) h = fnv_mix(h, id);
+    return h;
+  };
+  auto assign_ids = [](const DirectiveBatch& d) {
+    std::vector<std::uint64_t> ids;
+    for (const auto& spec : d.assign) ids.push_back(spec.unit_id);
+    return ids;
+  };
+  std::uint64_t directive_digest = kFnvBasis;
+  for (const DirectiveBatch* d : {&slow_d, &fast_d}) {
+    directive_digest = fold_ids(directive_digest, d->revoke);
+    directive_digest = fold_ids(directive_digest, assign_ids(*d));
+  }
+  std::uint64_t pool_digest = fold_ids(kFnvBasis, sched.pool().assigned_units());
+  for (std::uint32_t k = 0; k < 2; ++k) {
+    const Bytes blob = sched.pool().shard(k).export_frontier();
+    pool_digest = fnv_mix(pool_digest,
+                          std::string_view(reinterpret_cast<const char*>(blob.data()),
+                                           blob.size()));
+  }
+
+  // 4,096 moves attempted; the per-shard idle cap trims 96 before re-issue.
+  EXPECT_EQ(slow_d.revoke.size(), 4000u);
+  EXPECT_EQ(slow_d.assign.size(), 4000u);  // top-up: the fast client's shed units
+  EXPECT_EQ(fast_d.revoke.size(), 4000u);
+  EXPECT_EQ(fast_d.assign.size(), 4000u);  // the moved units
+  EXPECT_EQ(unit_spans, 4096u + 4000u + 4000u + 1u);
+  EXPECT_EQ(sched.pool().assigned_count(), 16288u);
+  EXPECT_EQ(sched.pool().idle_frontier_size(), 0u);
+  EXPECT_EQ(span_digest, 13423122318084428287ULL);
+  EXPECT_EQ(directive_digest, 5424197320592996141ULL);
+  EXPECT_EQ(pool_digest, 10401382091200234545ULL);
+  sched.stop();
 }
 
 TEST_F(SchedulerClientTest, ShardedRestartReplaysPerShardWithoutDoubleIssue) {
