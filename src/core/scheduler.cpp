@@ -11,17 +11,27 @@
 
 namespace ew::core {
 
-namespace {
-
-void erase_unit(std::vector<std::uint64_t>& units, std::uint64_t id) {
-  units.erase(std::remove(units.begin(), units.end(), id), units.end());
+SchedulerServer::Instruments SchedulerServer::bind_instruments() {
+  namespace n = obs::names;
+  obs::Registry& reg = obs::registry();
+  return Instruments{
+      .reports = &reg.counter(n::kSchedReports),
+      .batch_reports = &reg.counter(n::kSchedBatchReports),
+      .batch_replays = &reg.counter(n::kSchedBatchReplays),
+      .dispatches = &reg.counter(n::kSchedDispatches),
+      .shard_steals = &reg.counter(n::kSchedShardSteals),
+      .presumed_dead = &reg.counter(n::kSchedPresumedDead),
+      .units_revoked = &reg.counter(n::kSchedUnitsRevoked),
+      .migrations = &reg.counter(n::kSchedMigrations),
+      .outstanding_units = &reg.gauge(n::kSchedOutstandingUnits),
+      .frontier_units = &reg.gauge(n::kSchedFrontierUnits),
+  };
 }
-
-}  // namespace
 
 SchedulerServer::SchedulerServer(Node& node, Options opts)
     : node_(node),
       opts_(opts),
+      metrics_(bind_instruments()),
       pool_(ShardedWorkPool::Options{opts.pool,
                                      std::max<std::uint32_t>(1, opts.pool_shards)}) {}
 
@@ -78,14 +88,11 @@ void SchedulerServer::note_unit_reclaimed(std::uint64_t unit_id,
 }
 
 void SchedulerServer::update_pool_gauges() {
-  obs::registry().gauge(obs::names::kSchedOutstandingUnits)
-      .set(static_cast<double>(pool_.assigned_count()));
-  obs::registry().gauge(obs::names::kSchedFrontierUnits)
-      .set(static_cast<double>(pool_.idle_frontier_size()));
+  metrics_.outstanding_units->set(static_cast<double>(pool_.assigned_count()));
+  metrics_.frontier_units->set(static_cast<double>(pool_.idle_frontier_size()));
   const std::uint64_t steals = pool_.steals();
   if (steals > steals_seen_) {
-    obs::registry().counter(obs::names::kSchedShardSteals)
-        .inc(steals - steals_seen_);
+    metrics_.shard_steals->inc(steals - steals_seen_);
     steals_seen_ = steals;
   }
 }
@@ -170,7 +177,7 @@ void SchedulerServer::on_register(const IncomingMessage& msg, const Responder& r
     info.units.push_back(spec.unit_id);
     note_unit_issued(spec.unit_id);
   }
-  obs::registry().counter(obs::names::kSchedDispatches).inc(d.assign.size());
+  metrics_.dispatches->inc(d.assign.size());
   if (obs::trace().enabled()) {
     obs::trace().record(node_.executor().now(), obs::SpanKind::kSchedDispatch,
                         obs::trace().intern(msg.from.to_string()),
@@ -202,18 +209,24 @@ void SchedulerServer::on_report_batch(const IncomingMessage& msg,
   // run exactly once per sequence number.
   if (batch->seq != 0 && batch->seq == info.last_seq) {
     ++replays_;
-    obs::registry().counter(obs::names::kSchedBatchReplays).inc();
+    metrics_.batch_replays->inc();
     resp.ok(Bytes(info.last_reply));
     return;
   }
   ++batches_;
   reports_ += batch->reports.size();
-  obs::registry().counter(obs::names::kSchedReports).inc(batch->reports.size());
-  obs::registry().counter(obs::names::kSchedBatchReports).inc();
+  metrics_.reports->inc(batch->reports.size());
+  metrics_.batch_reports->inc();
   const TimePoint now = node_.executor().now();
   const Duration gap = now - info.last_report;
   info.last_report = now;
 
+  // One pass, one pool lookup per report: the pool absorbs the report and
+  // hands back what the unit was before it, which prices the per-kind
+  // progress accounting behind the directive policy (fresh units steer
+  // toward whichever algorithm has been buying the most energy reduction
+  // per op). A unit reported twice in one batch is priced against its
+  // running prior, so each improvement counts once.
   std::uint64_t total_ops = 0;
   std::uint64_t batch_best = ~0ULL;
   bool any_found = false;
@@ -221,26 +234,20 @@ void SchedulerServer::on_report_batch(const IncomingMessage& msg,
     total_ops += rep.ops_done;
     batch_best = std::min(batch_best, rep.best_energy);
     any_found = any_found || rep.found;
-    // Progress accounting per heuristic kind, before the pool absorbs the
-    // report: the directive policy steers fresh units toward whichever
-    // algorithm has been buying the most energy reduction per op.
-    if (const auto kind = pool_.unit_kind(rep.unit_id)) {
-      const auto prev = pool_.best_energy(rep.unit_id);
-      KindStats& ks = kind_stats_[static_cast<std::size_t>(*kind)];
-      if (prev && rep.best_energy < *prev) {
-        ks.improvement += static_cast<double>(*prev - rep.best_energy);
+    if (const auto prior = pool_.report(rep)) {
+      KindStats& ks = kind_stats_[static_cast<std::size_t>(prior->kind)];
+      if (prior->best_energy && rep.best_energy < *prior->best_energy) {
+        ks.improvement +=
+            static_cast<double>(*prior->best_energy - rep.best_energy);
       }
       ks.gops += static_cast<double>(rep.ops_done) / 1e9;
     }
+    note_best(rep.best_energy, rep.best_graph, rep.found);
+    if (rep.found) store_counterexample(rep);
   }
   if (gap > 0) {
     info.interval.observe(static_cast<double>(gap));
     info.rate.observe(static_cast<double>(total_ops) / to_seconds(gap));
-  }
-  pool_.report_many(batch->reports);
-  for (const auto& rep : batch->reports) {
-    note_best(rep.best_energy, rep.best_graph, rep.found);
-    if (rep.found) store_counterexample(rep);
   }
   if (!batch->reports.empty()) {
     forward_log(info, total_ops, batch_best == ~0ULL ? 0 : batch_best,
@@ -260,7 +267,7 @@ void SchedulerServer::on_report_batch(const IncomingMessage& msg,
     }
   }
   if (!d.assign.empty()) {
-    obs::registry().counter(obs::names::kSchedDispatches).inc(d.assign.size());
+    metrics_.dispatches->inc(d.assign.size());
     if (obs::trace().enabled()) {
       obs::trace().record(now, obs::SpanKind::kSchedDispatch,
                           obs::trace().intern(batch->client.to_string()),
@@ -384,7 +391,7 @@ void SchedulerServer::sweep_tick() {
       }
       pool_.reclaim_many(it->second.units);
       ++presumed_dead_;
-      obs::registry().counter(obs::names::kSchedPresumedDead).inc();
+      metrics_.presumed_dead->inc();
       it = clients_.erase(it);
     } else {
       ++it;
@@ -437,7 +444,7 @@ void SchedulerServer::migrate_tick() {
   });
   if (fast_it == rates.rend()) return;
   ClientInfo& fast = clients_.at(fast_it->second);
-  const std::vector<std::uint64_t> fast_before = fast.units;
+  const std::size_t fast_held = fast.units.size();
 
   const std::size_t moves = std::max<std::size_t>(1, cand.size() / 2);
   std::vector<std::uint64_t> move_ids;
@@ -447,38 +454,50 @@ void SchedulerServer::migrate_tick() {
   }
   for (auto id : move_ids) note_unit_reclaimed(id, obs::reclaim::kMigrated);
   pool_.reclaim_many(move_ids);
-  std::size_t moved = 0;
+  std::vector<std::uint64_t> moved;
+  moved.reserve(move_ids.size());
   for (auto id : move_ids) {
     auto spec = pool_.issue_unit(id);
     if (!spec) continue;  // trimmed from the frontier between release/issue
     note_unit_issued(id);
-    erase_unit(slow.units, id);
-    slow.pending.revoke.push_back(id);
-    fast.units.push_back(id);
+    moved.push_back(id);
     fast.pending.assign.push_back(std::move(*spec));
-    ++moved;
   }
-  if (moved == 0) return;
+  if (moved.empty()) return;
+  // Lease edits in one pass each, not one scan of the lease per moved unit.
+  std::vector<std::uint64_t> gone = moved;
+  std::sort(gone.begin(), gone.end());
+  std::erase_if(slow.units, [&](std::uint64_t id) {
+    return std::binary_search(gone.begin(), gone.end(), id);
+  });
+  slow.pending.revoke.insert(slow.pending.revoke.end(), moved.begin(),
+                             moved.end());
+  fast.units.insert(fast.units.end(), moved.begin(), moved.end());
   // Keep the fast client at its lease target: revoke one of its original
-  // units per takeover (the old swap semantics at want == 1).
-  for (auto id : fast_before) {
-    if (fast.units.size() <= fast.want) break;
-    note_unit_reclaimed(id, obs::reclaim::kMigrated);
-    pool_.reclaim_many(std::span<const std::uint64_t>(&id, 1));
-    erase_unit(fast.units, id);
-    fast.pending.revoke.push_back(id);
+  // units (the lease's first fast_held entries) per takeover, oldest first —
+  // the old swap semantics at want == 1.
+  const std::size_t excess =
+      fast.units.size() > fast.want ? fast.units.size() - fast.want : 0;
+  const auto shed_end = fast.units.begin() +
+                        static_cast<std::ptrdiff_t>(std::min(excess, fast_held));
+  for (auto it = fast.units.begin(); it != shed_end; ++it) {
+    note_unit_reclaimed(*it, obs::reclaim::kMigrated);
   }
-  obs::registry().counter(obs::names::kSchedUnitsRevoked)
-      .inc(slow.pending.revoke.size() + fast.pending.revoke.size());
+  fast.pending.revoke.insert(fast.pending.revoke.end(), fast.units.begin(),
+                             shed_end);
+  pool_.reclaim_many(std::span<const std::uint64_t>(fast.units.begin(), shed_end));
+  fast.units.erase(fast.units.begin(), shed_end);
+  metrics_.units_revoked->inc(slow.pending.revoke.size() +
+                             fast.pending.revoke.size());
   ++migrations_;
-  obs::registry().counter(obs::names::kSchedMigrations).inc();
+  metrics_.migrations->inc();
   if (obs::trace().enabled()) {
     obs::trace().record(now, obs::SpanKind::kSchedMigration,
                         obs::trace().intern(slow_ep.to_string()),
                         static_cast<std::int64_t>(migrations_),
-                        static_cast<std::int64_t>(moved));
+                        static_cast<std::int64_t>(moved.size()));
   }
-  EW_DEBUG << "scheduler: migrating " << moved << " unit(s) from "
+  EW_DEBUG << "scheduler: migrating " << moved.size() << " unit(s) from "
            << slow_ep.to_string() << " to " << fast_it->second.to_string();
 }
 

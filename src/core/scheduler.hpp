@@ -37,6 +37,7 @@
 #include "core/sharded_work_pool.hpp"
 #include "forecast/selector.hpp"
 #include "net/node.hpp"
+#include "obs/registry.hpp"
 
 namespace ew::core {
 
@@ -132,8 +133,25 @@ class SchedulerServer {
   [[nodiscard]] Duration overdue_threshold(const ClientInfo& info) const;
   [[nodiscard]] ramsey::HeuristicKind choose_kind(std::uint64_t unit_id) const;
 
+  // The scheduler's obs instruments, resolved once at construction instead
+  // of looked up by name on every batch.
+  struct Instruments {
+    obs::Counter* reports = nullptr;
+    obs::Counter* batch_reports = nullptr;
+    obs::Counter* batch_replays = nullptr;
+    obs::Counter* dispatches = nullptr;
+    obs::Counter* shard_steals = nullptr;
+    obs::Counter* presumed_dead = nullptr;
+    obs::Counter* units_revoked = nullptr;
+    obs::Counter* migrations = nullptr;
+    obs::Gauge* outstanding_units = nullptr;
+    obs::Gauge* frontier_units = nullptr;
+  };
+  static Instruments bind_instruments();
+
   Node& node_;
   Options opts_;
+  Instruments metrics_;
   ShardedWorkPool pool_;
   std::unordered_map<Endpoint, ClientInfo, EndpointHash> clients_;
   bool running_ = false;

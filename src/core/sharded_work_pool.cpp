@@ -50,21 +50,9 @@ std::optional<ramsey::WorkSpec> ShardedWorkPool::issue_unit(
   return shards_[owner_of(unit_id)].acquire_unit(unit_id);
 }
 
-void ShardedWorkPool::report(const ramsey::WorkReport& rep) {
-  shards_[owner_of(rep.unit_id)].report(rep);
-}
-
-void ShardedWorkPool::report_many(std::span<const ramsey::WorkReport> reps) {
-  if (shards_.size() == 1) {
-    shards_.front().report_many(reps);
-    return;
-  }
-  // Per-item dispatch: reports carry graph blobs, so regrouping into
-  // per-shard vectors would copy them; report has no cross-item batching
-  // advantage inside a shard anyway.
-  for (const auto& rep : reps) {
-    shards_[owner_of(rep.unit_id)].report(rep);
-  }
+std::optional<WorkPool::Prior> ShardedWorkPool::report(
+    const ramsey::WorkReport& rep) {
+  return shards_[owner_of(rep.unit_id)].report(rep);
 }
 
 void ShardedWorkPool::reclaim_many(std::span<const std::uint64_t> ids) {
@@ -91,11 +79,6 @@ bool ShardedWorkPool::assigned(std::uint64_t unit_id) const {
 std::optional<std::uint64_t> ShardedWorkPool::best_energy(
     std::uint64_t unit_id) const {
   return shards_[owner_of(unit_id)].best_energy(unit_id);
-}
-
-std::optional<ramsey::HeuristicKind> ShardedWorkPool::unit_kind(
-    std::uint64_t unit_id) const {
-  return shards_[owner_of(unit_id)].unit_kind(unit_id);
 }
 
 std::size_t ShardedWorkPool::idle_frontier_size() const {

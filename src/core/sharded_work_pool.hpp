@@ -2,10 +2,10 @@
 //
 // Shard s of N owns the unit-id residue class { s+1, s+1+N, s+1+2N, ... }, so
 // ownership is a modulo — no directory, no rebalancing metadata — and a
-// restarted shard can re-import only its own slice of the frontier. The
-// router exposes *batch* entry points (issue_many / report_many /
-// reclaim_many) sized for whole directive batches: the scheduler makes one
-// router call per client round-trip instead of one pool call per unit.
+// restarted shard can re-import only its own slice of the frontier. Issue
+// and reclaim are *batch* entry points (issue_many / reclaim_many) sized for
+// whole directive batches; a report routes straight to its owning shard, so
+// the scheduler absorbs each report with one table lookup.
 //
 // Frontier reuse is global: issue_many() always prefers the best (lowest
 // energy) idle frontier unit across ALL shards over minting fresh work, and
@@ -43,10 +43,9 @@ class ShardedWorkPool {
   std::vector<ramsey::WorkSpec> issue_many(std::size_t n);
   /// Re-issue one specific idle unit (migration path).
   std::optional<ramsey::WorkSpec> issue_unit(std::uint64_t unit_id);
-  /// Apply one progress report, routed to the owning shard.
-  void report(const ramsey::WorkReport& rep);
-  /// Apply a batch of progress reports, routed to owning shards.
-  void report_many(std::span<const ramsey::WorkReport> reps);
+  /// Apply one progress report, routed to the owning shard; returns the
+  /// unit's state before it (WorkPool::report).
+  std::optional<WorkPool::Prior> report(const ramsey::WorkReport& rep);
   /// Release a batch of units (client dead, revoked, or re-registered);
   /// each shard trims its idle frontier once.
   void reclaim_many(std::span<const std::uint64_t> ids);
@@ -55,7 +54,6 @@ class ShardedWorkPool {
 
   [[nodiscard]] bool assigned(std::uint64_t unit_id) const;
   [[nodiscard]] std::optional<std::uint64_t> best_energy(std::uint64_t unit_id) const;
-  [[nodiscard]] std::optional<ramsey::HeuristicKind> unit_kind(std::uint64_t unit_id) const;
   [[nodiscard]] std::size_t idle_frontier_size() const;
   [[nodiscard]] std::vector<std::uint64_t> assigned_units() const;
   [[nodiscard]] std::size_t assigned_count() const;

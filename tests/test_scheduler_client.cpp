@@ -406,6 +406,79 @@ TEST_F(SchedulerClientTest, ReplyCacheReplaysTopUpAndSeqZeroOptsOut) {
   EXPECT_EQ(sched.pool().assigned_count(), 3u);
 }
 
+TEST_F(SchedulerClientTest, DuplicateUnitInOneBatchIsPricedOnce) {
+  // A unit reported twice in one batch ([u:30, u:10] after u:50) must leave
+  // the same pool state and per-kind accounting as the three reports sent
+  // one batch at a time: the second copy is priced against the running
+  // prior (30), so the kind is credited 20 + 20, not 20 + 40.
+  add_scheduler("one", 20, 4);
+  add_scheduler("seq", 20, 4);
+  auto fake = std::make_unique<Node>(events_, transport_, Endpoint{"fake", 2100});
+  fake->start();
+  auto call = [&](const Endpoint& to, MsgType type, const Bytes& payload) {
+    std::optional<Bytes> reply;
+    fake->call(to, type, payload, CallOptions::fixed(kSecond),
+               [&reply](Result<Bytes> r) {
+                 ASSERT_TRUE(r.ok());
+                 reply = *r;
+               });
+    events_.run_for(kSecond);
+    EXPECT_TRUE(reply.has_value());
+    return reply.value_or(Bytes{});
+  };
+  const Endpoint worker{"worker", 2000};
+  Rng rng(3);
+  const Bytes graph = ramsey::ColoredGraph::random(20, rng).serialize();
+  auto rep = [&](std::uint64_t unit, std::uint64_t energy) {
+    ramsey::WorkReport r;
+    r.unit_id = unit;
+    r.ops_done = 2'000'000'000;
+    r.best_energy = energy;
+    r.best_graph = graph;
+    return r;
+  };
+  std::uint64_t unit = 0;
+  auto drive = [&](const Endpoint& sched,
+                   const std::vector<std::vector<std::uint64_t>>& batches) {
+    ClientHello hello;
+    hello.client = worker;
+    hello.host = "worker";
+    hello.want_units = 1;
+    auto d = DirectiveBatch::deserialize(
+        call(sched, msgtype::kSchedRegister, hello.serialize()));
+    ASSERT_TRUE(d.ok());
+    ASSERT_EQ(d->assign.size(), 1u);
+    unit = d->assign.front().unit_id;
+    std::uint64_t seq = 0;
+    for (const auto& energies : batches) {
+      ReportBatch batch;
+      batch.client = worker;
+      batch.seq = ++seq;
+      batch.want_units = 1;
+      for (auto e : energies) batch.reports.push_back(rep(unit, e));
+      call(sched, msgtype::kSchedReportBatch, batch.serialize());
+    }
+  };
+  drive(Endpoint{"one", 601}, {{50}, {30, 10}});
+  drive(Endpoint{"seq", 601}, {{50}, {30}, {10}});
+  const SchedulerServer& one = *schedulers_[0];
+  const SchedulerServer& seq = *schedulers_[1];
+
+  EXPECT_EQ(one.reports_received(), 3u);
+  EXPECT_EQ(one.pool().best_energy(unit), std::optional<std::uint64_t>(10));
+  EXPECT_EQ(one.pool().shard(0).export_frontier(),
+            seq.pool().shard(0).export_frontier());
+  EXPECT_EQ(one.pool().assigned_units(), seq.pool().assigned_units());
+  double credited = 0;
+  for (std::size_t k = 0; k < 3; ++k) {
+    EXPECT_DOUBLE_EQ(one.kind_stats()[k].improvement,
+                     seq.kind_stats()[k].improvement);
+    EXPECT_DOUBLE_EQ(one.kind_stats()[k].gops, seq.kind_stats()[k].gops);
+    credited += one.kind_stats()[k].improvement;
+  }
+  EXPECT_DOUBLE_EQ(credited, 40.0);
+}
+
 TEST_F(SchedulerClientTest, LargeLeaseMigrationIsPinned) {
   // Two clients hold full 8,192-unit leases; the slow one's best half moves
   // to the fast one, which then sheds as many of its own units. The

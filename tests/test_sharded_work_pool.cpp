@@ -59,7 +59,7 @@ TEST(ShardedWorkPool, BatchReportAndReclaimRouteToOwningShards) {
     reps.push_back(report_for(s.unit_id, 10 + s.unit_id));
     ids.push_back(s.unit_id);
   }
-  pool.report_many(reps);
+  for (const auto& rep : reps) pool.report(rep);
   for (auto id : ids) {
     EXPECT_EQ(*pool.best_energy(id), 10 + id);
     EXPECT_EQ(*pool.shard(pool.owner_of(id)).best_energy(id), 10 + id);
@@ -73,8 +73,8 @@ TEST(ShardedWorkPool, IssuePrefersGlobalBestFrontierAndCountsSteals) {
   ShardedWorkPool pool(sharded(2));
   const auto specs = pool.issue_many(2);  // id 1 on shard 0, id 2 on shard 1
   ASSERT_EQ(specs.size(), 2u);
-  pool.report_many(std::vector<ramsey::WorkReport>{
-      report_for(1, 50), report_for(2, 5)});
+  pool.report(report_for(1, 50));
+  pool.report(report_for(2, 5));
   pool.reclaim_many(std::vector<std::uint64_t>{1, 2});
   // Mint cursor is back on shard 0; the best frontier unit lives on shard 1.
   const auto stolen = pool.issue_many(1);
@@ -101,7 +101,7 @@ TEST(ShardedWorkPool, PerShardCheckpointReplaysOnlyOwnRange) {
   const auto specs = a.issue_many(4);  // ids 1..4 across both shards
   std::vector<ramsey::WorkReport> reps;
   for (const auto& s : specs) reps.push_back(report_for(s.unit_id, 30 + s.unit_id));
-  a.report_many(reps);
+  for (const auto& rep : reps) a.report(rep);
   ASSERT_TRUE(a.shard_dirty(0));
   ASSERT_TRUE(a.shard_dirty(1));
   const Bytes blob0 = a.export_shard(0);
@@ -138,8 +138,8 @@ TEST(ShardedWorkPool, SingleShardMatchesPlainWorkPoolBitForBit) {
   }
   std::vector<ramsey::WorkReport> reps;
   for (auto id : ids) reps.push_back(report_for(id, 40 + 3 * id));
-  plain.report_many(reps);
-  routed.report_many(reps);
+  for (const auto& rep : reps) plain.report(rep);
+  for (const auto& rep : reps) routed.report(rep);
   plain.release_many(ids);
   routed.reclaim_many(ids);
   EXPECT_EQ(plain.export_frontier(), routed.shard(0).export_frontier());
@@ -153,7 +153,7 @@ TEST(ShardedWorkPool, IssueUnitRoutesMigrationReissue) {
   const auto id = specs[1].unit_id;
   EXPECT_FALSE(pool.issue_unit(id).has_value());  // still assigned
   const ramsey::WorkReport rep = report_for(id, 9);
-  pool.report_many({&rep, 1});
+  pool.report(rep);
   pool.reclaim_many({&id, 1});
   const auto again = pool.issue_unit(id);
   ASSERT_TRUE(again.has_value());

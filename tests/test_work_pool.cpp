@@ -29,6 +29,22 @@ ramsey::WorkReport report_for(std::uint64_t unit, std::uint64_t energy,
   return r;
 }
 
+/// A checkpoint in export_frontier's layout holding the given ids, each
+/// with a valid order-10 resume coloring and energy 100 + its index.
+Bytes checkpoint_of(const std::vector<std::uint64_t>& ids) {
+  Writer w;
+  w.u32(static_cast<std::uint32_t>(ids.size()));
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    w.u64(ids[i]);
+    w.u64(ids[i] + 1);
+    w.u8(0);
+    w.u64(100 + i);
+    Rng rng(i + 1);
+    w.blob(ramsey::ColoredGraph::random(10, rng).serialize());
+  }
+  return w.take();
+}
+
 TEST(WorkPool, FreshUnitsHaveIncreasingIds) {
   WorkPool pool(small_pool());
   const auto a = pool.acquire();
@@ -228,8 +244,8 @@ TEST(WorkPool, ImportFiltersForeignIds) {
 }
 
 TEST(WorkPool, BatchAndSingleCallsLeaveIdenticalState) {
-  // report_many/release_many over a whole batch versus one unit per call:
-  // the same sequence through either path must leave bit-identical state.
+  // release_many over a whole batch versus one unit per call: the same
+  // sequence through either path must leave bit-identical state.
   WorkPool single(small_pool());
   WorkPool batch(small_pool());
   std::vector<std::uint64_t> ids;
@@ -242,7 +258,7 @@ TEST(WorkPool, BatchAndSingleCallsLeaveIdenticalState) {
   std::vector<ramsey::WorkReport> reps;
   for (auto id : ids) reps.push_back(report_for(id, 90 - 7 * id));
   for (const auto& rep : reps) single.report(rep);
-  batch.report_many(reps);
+  for (const auto& rep : reps) batch.report(rep);
   for (auto id : ids) single.release_many(std::array{id});
   batch.release_many(ids);
   EXPECT_EQ(single.export_frontier(), batch.export_frontier());
@@ -259,7 +275,7 @@ TEST(WorkPool, ReleaseManyRespectsFrontierCap) {
   for (std::size_t i = 0; i < ids.size(); ++i) {
     reps.push_back(report_for(ids[i], 100 - i));
   }
-  pool.report_many(reps);
+  for (const auto& rep : reps) pool.report(rep);
   pool.release_many(ids);
   EXPECT_LE(pool.idle_frontier_size(), 4u);
   EXPECT_EQ(pool.acquire().unit_id, ids.back());  // best survivor first
@@ -276,6 +292,99 @@ TEST(WorkPool, DirtyFlagTracksCheckpointableChanges) {
   EXPECT_FALSE(pool.dirty());
   pool.release_many(std::array{spec.unit_id});
   EXPECT_TRUE(pool.dirty());
+}
+
+TEST(WorkPool, ReportReturnsPriorKindAndEnergy) {
+  WorkPool pool(small_pool());
+  const auto spec = pool.acquire();
+  const auto first = pool.report(report_for(spec.unit_id, 30));
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->kind, spec.kind);
+  EXPECT_FALSE(first->best_energy.has_value());  // never reported before
+  const auto second = pool.report(report_for(spec.unit_id, 40));
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(second->best_energy, std::optional<std::uint64_t>(30));
+  const auto third = pool.report(report_for(spec.unit_id, 10));
+  ASSERT_TRUE(third.has_value());
+  EXPECT_EQ(third->best_energy, std::optional<std::uint64_t>(30));
+  EXPECT_EQ(pool.best_energy(spec.unit_id), std::optional<std::uint64_t>(10));
+  EXPECT_FALSE(pool.report(report_for(424242, 1)).has_value());
+}
+
+TEST(WorkPool, TableCapacityFollowsLiveUnitsNotMintedIds) {
+  // A million never-reported units minted and released in rounds of 1,000:
+  // the table holds at most 1,000 live units at a time, so its capacity
+  // stays near that, and shrinks back once they are gone.
+  WorkPool pool(small_pool());
+  std::vector<std::uint64_t> ids(1000);
+  std::size_t peak = 0;
+  for (int round = 0; round < 1000; ++round) {
+    for (auto& id : ids) id = pool.acquire().unit_id;
+    peak = std::max(peak, pool.table_capacity());
+    pool.release_many(ids);
+  }
+  EXPECT_EQ(pool.units_issued(), 1'000'000u);
+  EXPECT_EQ(pool.assigned_count(), 0u);
+  EXPECT_LE(peak, 1024u);
+  EXPECT_LE(pool.table_capacity(), 8u);
+}
+
+TEST(WorkPool, ImportOfHugeIdAllocatesConstant) {
+  // Ids near 2^63 in our residue class (first_id 3, stride 8): the table is
+  // keyed by ordinal mod capacity, so two such units cost two slots.
+  WorkPool::Options o = small_pool();
+  o.first_id = 3;
+  o.id_stride = 8;
+  WorkPool pool(o);
+  const std::uint64_t huge = 3 + 8 * ((std::uint64_t{1} << 60) - 1);
+  EXPECT_EQ(pool.import_frontier(checkpoint_of({huge, huge - 8 * 1000})), 2u);
+  EXPECT_LE(pool.table_capacity(), 8u);
+  EXPECT_EQ(pool.best_energy(huge), std::optional<std::uint64_t>(100));
+  EXPECT_EQ(pool.best_energy(huge - 8 * 1000), std::optional<std::uint64_t>(101));
+  EXPECT_EQ(pool.acquire().unit_id, huge);
+  EXPECT_EQ(pool.acquire().unit_id, huge - 8 * 1000);
+  EXPECT_EQ(pool.acquire().unit_id, huge + 8);  // minted above the import
+}
+
+TEST(WorkPool, CollidingOrdinalsStayFindableThroughChurn) {
+  // Imported ids whose ordinals share a few home slots at every capacity
+  // the table passes through, interleaved with minted ones: every unit must
+  // stay findable while the never-reported mints are released (each release
+  // shifts a probe run back) and the table grows and shrinks.
+  WorkPool::Options o = small_pool();
+  o.max_idle_frontier = 1000;
+  WorkPool pool(o);
+  std::vector<std::uint64_t> minted;
+  for (int i = 0; i < 300; ++i) minted.push_back(pool.acquire().unit_id);
+  std::vector<std::uint64_t> imported;
+  for (std::uint64_t j = 0; j < 300; ++j) imported.push_back(301 + 512 * j);
+  ASSERT_EQ(pool.import_frontier(checkpoint_of(imported)), 300u);
+  EXPECT_LE(pool.table_capacity(), 4u * 600u);
+  auto check_imported = [&] {
+    for (std::size_t i = 0; i < imported.size(); ++i) {
+      ASSERT_EQ(pool.best_energy(imported[i]),
+                std::optional<std::uint64_t>(100 + i));
+      ASSERT_FALSE(pool.assigned(imported[i]));
+    }
+  };
+  check_imported();
+  // Release the mints in a scattered order.
+  for (std::size_t k = 0; k < minted.size(); ++k) {
+    const std::uint64_t id = minted[(k * 7) % minted.size()];
+    ASSERT_TRUE(pool.assigned(id));
+    pool.release_many(std::array{id});
+    ASSERT_FALSE(pool.assigned(id));
+    ASSERT_FALSE(pool.acquire_unit(id).has_value());  // forgotten
+  }
+  check_imported();
+  EXPECT_EQ(pool.idle_frontier_size(), 300u);
+  EXPECT_LE(pool.table_capacity(), 8u * 300u);
+  // The checkpoint still lists exactly the imported units, in id order.
+  WorkPool copy(o);
+  EXPECT_EQ(copy.import_frontier(pool.export_frontier()), 300u);
+  EXPECT_EQ(copy.export_frontier(), pool.export_frontier());
+  for (auto id : imported) ASSERT_TRUE(pool.acquire_unit(id).has_value());
+  EXPECT_EQ(pool.assigned_units(), imported);
 }
 
 }  // namespace

@@ -42,14 +42,19 @@ std::string summary(const Bytes& blob) {
     const auto kind = r.u8();
     const auto energy = r.u64();
     if (!id || !seed || !kind || !energy || !r.blob()) return out + " truncated";
-    out += " " + std::to_string(*id) + "/" + std::to_string(*seed) + "/" +
-           std::to_string(*kind) + "/" + std::to_string(*energy);
+    char entry[96];
+    std::snprintf(entry, sizeof entry, " %llu/%llu/%u/%llu",
+                  static_cast<unsigned long long>(*id),
+                  static_cast<unsigned long long>(*seed), unsigned{*kind},
+                  static_cast<unsigned long long>(*energy));
+    out += entry;
   }
   char digest[32];
   std::snprintf(digest, sizeof digest, " #%016llx",
                 static_cast<unsigned long long>(fnv1a64(std::string_view(
                     reinterpret_cast<const char*>(blob.data()), blob.size()))));
-  return out + digest;
+  out += digest;
+  return out;
 }
 
 std::string ids_text(const std::vector<std::uint64_t>& ids) {
