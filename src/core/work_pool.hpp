@@ -109,10 +109,10 @@ class WorkPool {
   void clear_dirty() { dirty_ = false; }
 
   /// Checkpoint: every unit that has a resume coloring (assigned or idle),
-  /// in id order, wire-encoded for the persistent state manager. A restarted scheduler
-  /// imports this and re-issues the search from where it was, instead of
-  /// from fresh random colorings — the soft state is soft, the *work* is
-  /// not (Section 3.1.2's persistent class).
+  /// in id order, wire-encoded for the persistent state manager. A
+  /// restarted scheduler imports this and re-issues the search from where
+  /// it was, instead of from fresh random colorings — the soft state is
+  /// soft, the *work* is not (Section 3.1.2's persistent class).
   [[nodiscard]] Bytes export_frontier() const;
   /// Merge a checkpoint: unknown units in OUR id range come back as idle,
   /// reassignable frontier entries; units outside the range are skipped, so
@@ -150,7 +150,6 @@ class WorkPool {
     void insert(Unit u);
     /// `u` must be a live slot of this table; invalidates unit pointers.
     void erase(Unit& u);
-    [[nodiscard]] std::size_t size() const { return size_; }
     [[nodiscard]] std::size_t capacity() const { return slots_.size(); }
     template <class F>
     void for_each(F&& f) const {

@@ -89,6 +89,21 @@ class SchedulerClientTest : public ::testing::Test {
 
   void set_rate(const std::string& host, double rate) { *rates_[host] = rate; }
 
+  /// One call from `from` to `to` that must succeed: runs the sim for
+  /// `settle` and returns the reply (empty if none came).
+  Bytes call_ok(Node& from, const Endpoint& to, MsgType type,
+                const Bytes& payload, Duration settle) {
+    std::optional<Bytes> reply;
+    from.call(to, type, payload, CallOptions::fixed(kSecond),
+              [&reply](Result<Bytes> r) {
+                ASSERT_TRUE(r.ok());
+                reply = *r;
+              });
+    events_.run_for(settle);
+    EXPECT_TRUE(reply.has_value());
+    return reply.value_or(Bytes{});
+  }
+
   sim::EventQueue events_;
   sim::NetworkModel net_;
   sim::SimTransport transport_;
@@ -345,15 +360,7 @@ TEST_F(SchedulerClientTest, ReplyCacheReplaysTopUpAndSeqZeroOptsOut) {
   auto fake = std::make_unique<Node>(events_, transport_, Endpoint{"fake", 2100});
   fake->start();
   auto call = [&](MsgType type, const Bytes& payload) {
-    std::optional<Bytes> reply;
-    fake->call(Endpoint{"sched", 601}, type, payload,
-               CallOptions::fixed(kSecond), [&reply](Result<Bytes> r) {
-                 ASSERT_TRUE(r.ok());
-                 reply = *r;
-               });
-    events_.run_for(5 * kSecond);
-    EXPECT_TRUE(reply.has_value());
-    return reply.value_or(Bytes{});
+    return call_ok(*fake, Endpoint{"sched", 601}, type, payload, 5 * kSecond);
   };
   auto assigns = [](const Bytes& reply) {
     auto d = DirectiveBatch::deserialize(reply);
@@ -416,15 +423,7 @@ TEST_F(SchedulerClientTest, DuplicateUnitInOneBatchIsPricedOnce) {
   auto fake = std::make_unique<Node>(events_, transport_, Endpoint{"fake", 2100});
   fake->start();
   auto call = [&](const Endpoint& to, MsgType type, const Bytes& payload) {
-    std::optional<Bytes> reply;
-    fake->call(to, type, payload, CallOptions::fixed(kSecond),
-               [&reply](Result<Bytes> r) {
-                 ASSERT_TRUE(r.ok());
-                 reply = *r;
-               });
-    events_.run_for(kSecond);
-    EXPECT_TRUE(reply.has_value());
-    return reply.value_or(Bytes{});
+    return call_ok(*fake, to, type, payload, kSecond);
   };
   const Endpoint worker{"worker", 2000};
   Rng rng(3);
@@ -502,15 +501,7 @@ TEST_F(SchedulerClientTest, LargeLeaseMigrationIsPinned) {
   auto fake = std::make_unique<Node>(events_, transport_, Endpoint{"fake", 2100});
   fake->start();
   auto call = [&](MsgType type, const Bytes& payload) {
-    std::optional<Bytes> reply;
-    fake->call(Endpoint{"sched", 601}, type, payload,
-               CallOptions::fixed(kSecond), [&reply](Result<Bytes> r) {
-                 ASSERT_TRUE(r.ok());
-                 reply = *r;
-               });
-    events_.run_for(kSecond);
-    EXPECT_TRUE(reply.has_value());
-    return reply.value_or(Bytes{});
+    return call_ok(*fake, Endpoint{"sched", 601}, type, payload, kSecond);
   };
 
   const std::array<Endpoint, 2> eps = {Endpoint{"slow", 2000},
