@@ -19,7 +19,8 @@ WorkPool::Unit* WorkPool::UnitTable::find(std::uint64_t id) {
 }
 
 const WorkPool::Unit* WorkPool::UnitTable::find(std::uint64_t id) const {
-  if (size_ == 0) return nullptr;
+  // Id 0 marks an empty slot, so it must never match one.
+  if (size_ == 0 || id == 0) return nullptr;
   const std::size_t mask = slots_.size() - 1;
   for (std::size_t i = home(id), dist = 0;; i = (i + 1) & mask, ++dist) {
     const Unit& u = slots_[i];

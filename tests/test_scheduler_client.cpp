@@ -478,6 +478,79 @@ TEST_F(SchedulerClientTest, DuplicateUnitInOneBatchIsPricedOnce) {
   EXPECT_DOUBLE_EQ(credited, 40.0);
 }
 
+TEST_F(SchedulerClientTest, ReportForUnitZeroChangesNothing) {
+  // Unit id 0 is never minted (it routes to shard 0, where it would name
+  // an empty table slot). A batch that reports it, with a coloring, must
+  // leave the pool, the per-kind accounting and the next top-up exactly as
+  // the same batch without it.
+  add_scheduler("zero", 20, 4, 2);
+  add_scheduler("ref", 20, 4, 2);
+  auto fake = std::make_unique<Node>(events_, transport_, Endpoint{"fake", 2100});
+  fake->start();
+  const Endpoint worker{"worker", 2000};
+  Rng rng(5);
+  const Bytes graph = ramsey::ColoredGraph::random(20, rng).serialize();
+  auto rep = [&](std::uint64_t unit, std::uint64_t energy) {
+    ramsey::WorkReport r;
+    r.unit_id = unit;
+    r.ops_done = 1'000'000'000;
+    r.best_energy = energy;
+    r.best_graph = graph;
+    return r;
+  };
+  auto drive = [&](const Endpoint& sched, bool with_zero) {
+    auto call = [&](MsgType type, const Bytes& payload) {
+      return call_ok(*fake, sched, type, payload, kSecond);
+    };
+    ClientHello hello;
+    hello.client = worker;
+    hello.host = "worker";
+    hello.want_units = 4;
+    auto d = DirectiveBatch::deserialize(
+        call(msgtype::kSchedRegister, hello.serialize()));
+    EXPECT_TRUE(d.ok());
+    std::vector<std::uint64_t> lease;
+    if (d.ok()) {
+      for (const auto& a : d->assign) lease.push_back(a.unit_id);
+    }
+    ReportBatch batch;
+    batch.client = worker;
+    batch.seq = 1;
+    batch.want_units = 8;  // the reply tops the lease up from the pool
+    for (auto id : lease) batch.reports.push_back(rep(id, 60 + id));
+    if (with_zero) {
+      batch.reports.insert(batch.reports.begin() + 1, rep(0, 1));
+    }
+    auto top_up = DirectiveBatch::deserialize(
+        call(msgtype::kSchedReportBatch, batch.serialize()));
+    EXPECT_TRUE(top_up.ok());
+    if (top_up.ok()) {
+      for (const auto& a : top_up->assign) lease.push_back(a.unit_id);
+    }
+    return lease;
+  };
+  const auto zero_lease = drive(Endpoint{"zero", 601}, true);
+  const auto ref_lease = drive(Endpoint{"ref", 601}, false);
+  const SchedulerServer& zero = *schedulers_[0];
+  const SchedulerServer& ref = *schedulers_[1];
+
+  EXPECT_EQ(zero_lease.size(), 8u);
+  EXPECT_EQ(zero_lease, ref_lease);
+  EXPECT_EQ(zero.reports_received(), ref.reports_received() + 1);
+  EXPECT_EQ(zero.pool().assigned_units(), ref.pool().assigned_units());
+  EXPECT_EQ(zero.pool().idle_frontier_size(), 0u);
+  EXPECT_FALSE(zero.pool().best_energy(0).has_value());
+  for (std::uint32_t s = 0; s < 2; ++s) {
+    EXPECT_EQ(zero.pool().shard(s).export_frontier(),
+              ref.pool().shard(s).export_frontier());
+  }
+  for (std::size_t k = 0; k < 3; ++k) {
+    EXPECT_DOUBLE_EQ(zero.kind_stats()[k].improvement,
+                     ref.kind_stats()[k].improvement);
+    EXPECT_DOUBLE_EQ(zero.kind_stats()[k].gops, ref.kind_stats()[k].gops);
+  }
+}
+
 TEST_F(SchedulerClientTest, LargeLeaseMigrationIsPinned) {
   // Two clients hold full 8,192-unit leases; the slow one's best half moves
   // to the fast one, which then sheds as many of its own units. The

@@ -141,6 +141,32 @@ TEST(WorkPool, ReportForUnknownUnitIgnored) {
   EXPECT_EQ(pool.idle_frontier_size(), 0u);
 }
 
+TEST(WorkPool, IdZeroNamesNoUnit) {
+  // Id 0 marks an empty table slot, so no call naming it may find one:
+  // a report for it, even with a coloring, changes nothing.
+  WorkPool pool(small_pool());
+  std::vector<std::uint64_t> ids;
+  for (int i = 0; i < 6; ++i) ids.push_back(pool.acquire().unit_id);
+  pool.report(report_for(ids[0], 50));
+  pool.report(report_for(ids[1], 40));
+  pool.release_many(std::array{ids[0], ids[2]});  // ids[0] idle, ids[2] gone
+  const Bytes frontier = pool.export_frontier();
+  const auto assigned = pool.assigned_units();
+  ASSERT_EQ(pool.idle_frontier_size(), 1u);
+
+  EXPECT_FALSE(pool.report(report_for(0, 1)).has_value());
+  EXPECT_FALSE(pool.assigned(0));
+  EXPECT_FALSE(pool.best_energy(0).has_value());
+  EXPECT_FALSE(pool.acquire_unit(0).has_value());
+  pool.release_many(std::array<std::uint64_t, 1>{0});
+  EXPECT_EQ(pool.export_frontier(), frontier);
+  EXPECT_EQ(pool.assigned_units(), assigned);
+  EXPECT_EQ(pool.idle_frontier_size(), 1u);
+  // The pool goes on as before: the idle unit, then a fresh mint.
+  EXPECT_EQ(pool.acquire().unit_id, ids[0]);
+  EXPECT_EQ(pool.acquire().unit_id, ids.back() + 1);
+}
+
 TEST(WorkPool, FrontierExportImportRoundTrip) {
   WorkPool a(small_pool());
   const auto s1 = a.acquire();
