@@ -3,9 +3,10 @@
 // All EveryWare servers are single-threaded and event-driven — the paper
 // avoided threads and fork() entirely for portability (Section 5.1). An
 // Executor provides "call me later" (timers) and "call me soon" (posted
-// work). Two implementations exist:
+// work). Two implementations exist, both keeping their timers in the one
+// TimerQueue (src/net/timer_queue.hpp):
 //   * sim::EventQueue (src/sim) — virtual time, deterministic,
-//   * Reactor (src/net/reactor.hpp) — real time, select()-based.
+//   * Reactor (src/net/reactor.hpp) — real time, epoll or select() readiness.
 #pragma once
 
 #include <cstdint>

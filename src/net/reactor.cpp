@@ -67,19 +67,10 @@ void Reactor::post(std::function<void()> fn) {
 }
 
 TimerId Reactor::schedule(Duration delay, std::function<void()> fn) {
-  const TimerId id = next_timer_++;
-  const TimePoint deadline = clock_.now() + std::max<Duration>(delay, 0);
-  timers_.emplace(std::make_pair(deadline, id), std::move(fn));
-  timer_deadline_.emplace(id, deadline);
-  return id;
+  return timers_.add(clock_.now(), delay, std::move(fn));
 }
 
-void Reactor::cancel(TimerId id) {
-  auto it = timer_deadline_.find(id);
-  if (it == timer_deadline_.end()) return;
-  timers_.erase(std::make_pair(it->second, id));
-  timer_deadline_.erase(it);
-}
+void Reactor::cancel(TimerId id) { timers_.cancel(id); }
 
 void Reactor::add_watcher(std::unordered_map<int, Watcher>& map, int fd,
                           std::function<void()> cb) {
@@ -169,12 +160,8 @@ TimePoint Reactor::drain_ready() {
   }
   // Due timers.
   const TimePoint now = clock_.now();
-  while (!timers_.empty() && timers_.begin()->first.first <= now) {
-    auto node = timers_.extract(timers_.begin());
-    timer_deadline_.erase(node.key().second);
-    node.mapped()();
-  }
-  return timers_.empty() ? -1 : timers_.begin()->first.first;
+  while (!timers_.empty() && timers_.next_at() <= now) timers_.pop().fn();
+  return timers_.empty() ? -1 : timers_.next_at();
 }
 
 void Reactor::drain_wake_pipe() {

@@ -1,8 +1,9 @@
 // Reactor: the real-time Executor.
 //
-// A single-threaded readiness loop with a timer heap — the shape of every
-// EveryWare server process in the paper (single-threaded, select()-driven,
-// no signals; Section 5.1). The TcpTransport registers its sockets here.
+// A single-threaded readiness loop with an ordered timer queue (the shared
+// TimerQueue, see net/timer_queue.hpp) — the shape of every EveryWare server
+// process in the paper (single-threaded, select()-driven, no signals;
+// Section 5.1). The TcpTransport registers its sockets here.
 // post() is thread-safe via a self-pipe so examples can feed work from other
 // threads; everything else must run on the reactor thread.
 //
@@ -27,7 +28,6 @@
 
 #include <deque>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -36,6 +36,7 @@
 #include "common/clock.hpp"
 #include "net/executor.hpp"
 #include "net/tcp.hpp"
+#include "net/timer_queue.hpp"
 
 namespace ew {
 
@@ -117,10 +118,7 @@ class Reactor final : public Executor {
   Fd epoll_fd_;  // valid only under kEpoll
   std::mutex post_mutex_;
   std::deque<std::function<void()>> posted_;
-  // Timers: ordered by (deadline, id) for stable firing order.
-  std::map<std::pair<TimePoint, TimerId>, std::function<void()>> timers_;
-  std::unordered_map<TimerId, TimePoint> timer_deadline_;
-  TimerId next_timer_ = 1;
+  TimerQueue<> timers_;
   std::uint64_t next_watch_gen_ = 1;
   std::unordered_map<int, Watcher> read_watchers_;
   std::unordered_map<int, Watcher> write_watchers_;

@@ -6,62 +6,41 @@
 namespace ew::sim {
 
 TimerId EventQueue::schedule(Duration delay, std::function<void()> fn) {
-  if (delay < 0) delay = 0;
-  const TimerId id = next_timer_++;
-  const Key key{clock_.now() + delay, next_seq_++};
-  events_.emplace(key, Entry{id, schedule_label_, std::move(fn)});
-  timer_key_.emplace(id, key);
-  return id;
+  return timers_.add(clock_.now(), delay, std::move(fn), schedule_label_);
 }
 
-void EventQueue::cancel(TimerId id) {
-  auto it = timer_key_.find(id);
-  if (it == timer_key_.end()) return;
-  events_.erase(it->second);
-  timer_key_.erase(it);
-}
+void EventQueue::cancel(TimerId id) { timers_.cancel(id); }
 
-void EventQueue::fire(std::map<Key, Entry>::iterator it) {
-  auto node = events_.extract(it);
-  // Erase the timer mapping before the closure runs: cancel() of the firing
-  // event from inside its own closure must be a no-op, not a map corruption.
-  timer_key_.erase(node.mapped().id);
-  clock_.set(node.key().at);
+void EventQueue::fire(Timers::Timer ev) {
+  clock_.set(ev.at);
   ++executed_;
   // Label inheritance: everything the closure schedules belongs to the same
   // host the firing event acted on (unless a nested LabelScope overrides).
   std::string prev = std::move(schedule_label_);
-  schedule_label_ = std::move(node.mapped().label);
-  node.mapped().fn();
+  schedule_label_ = std::move(ev.tag);
+  ev.fn();
   schedule_label_ = std::move(prev);
 }
 
 bool EventQueue::step() {
-  if (events_.empty()) return false;
-  fire(events_.begin());
+  if (timers_.empty()) return false;
+  fire(timers_.pop());
   return true;
 }
 
 std::vector<EventQueue::EligibleEvent> EventQueue::eligible() const {
   std::vector<EligibleEvent> out;
-  if (events_.empty()) return out;
-  const TimePoint at = events_.begin()->first.at;
-  for (auto it = events_.begin(); it != events_.end() && it->first.at == at;
-       ++it) {
-    out.push_back({it->second.id, it->first.seq, at, it->second.label});
-  }
+  timers_.for_each_earliest([&](TimerId id, TimePoint at, const std::string& label) {
+    out.push_back({id, at, label});
+  });
   return out;
 }
 
 bool EventQueue::step_event(TimerId id) {
-  auto tk = timer_key_.find(id);
-  if (tk == timer_key_.end()) return false;
-  if (events_.empty() || tk->second.at != events_.begin()->first.at) {
-    return false;  // not at the earliest pending timestamp: not eligible
-  }
-  auto it = events_.find(tk->second);
-  if (it == events_.end()) return false;
-  fire(it);
+  const std::optional<TimePoint> at = timers_.deadline(id);
+  // Not pending, or not at the earliest pending timestamp: not eligible.
+  if (!at || *at != timers_.next_at()) return false;
+  fire(*timers_.take(id));
   return true;
 }
 
@@ -74,7 +53,7 @@ std::size_t EventQueue::run_until_idle(std::size_t limit) {
 
 std::size_t EventQueue::run_until(TimePoint t) {
   std::size_t n = 0;
-  while (!events_.empty() && events_.begin()->first.at <= t) {
+  while (!timers_.empty() && timers_.next_at() <= t) {
     step();
     ++n;
   }

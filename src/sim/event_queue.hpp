@@ -4,8 +4,9 @@
 // components run unmodified on it (they only see the Executor interface),
 // which lets a 12-hour Grid scenario execute in milliseconds and, more
 // importantly, makes every experiment exactly reproducible from a seed.
-// Events at equal times fire in scheduling order (a strictly increasing
-// sequence number breaks ties), so runs are platform-independent.
+// Events live in the shared TimerQueue (net/timer_queue.hpp): events at equal
+// times fire in scheduling order (the strictly increasing timer id breaks
+// ties), so runs are platform-independent.
 //
 // Choice points (src/sim/mc): events carry an optional label (the host the
 // event acts on), `eligible()` exposes every event at the earliest pending
@@ -18,12 +19,12 @@
 #pragma once
 
 #include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
 #include "common/clock.hpp"
 #include "net/executor.hpp"
+#include "net/timer_queue.hpp"
 
 namespace ew::sim {
 
@@ -53,13 +54,12 @@ class EventQueue final : public Executor {
 
   /// One event eligible to fire now: pending at the earliest timestamp.
   struct EligibleEvent {
-    TimerId id = kInvalidTimer;
-    std::uint64_t seq = 0;  // scheduling order; eligible()[0] is FIFO head
+    TimerId id = kInvalidTimer;  // scheduling order; eligible()[0] is FIFO head
     TimePoint at = 0;
     std::string label;  // empty = unlabelled (dependent with everything)
   };
 
-  /// All events at the earliest pending timestamp, in FIFO (seq) order.
+  /// All events at the earliest pending timestamp, in FIFO (id) order.
   /// Empty when idle. Firing eligible()[0] is exactly what step() does.
   [[nodiscard]] std::vector<EligibleEvent> eligible() const;
 
@@ -87,32 +87,19 @@ class EventQueue final : public Executor {
     std::string prev_;
   };
 
-  [[nodiscard]] std::size_t pending() const { return events_.size(); }
+  [[nodiscard]] std::size_t pending() const { return timers_.size(); }
   [[nodiscard]] std::size_t executed() const { return executed_; }
 
  private:
-  struct Key {
-    TimePoint at;
-    std::uint64_t seq;
-    auto operator<=>(const Key&) const = default;
-  };
-  struct Entry {
-    TimerId id;
-    std::string label;
-    std::function<void()> fn;
-  };
+  using Timers = TimerQueue<std::string>;  // tag: the event's label
 
-  /// Extract and run one event. `it` must be valid. Shared by step() and
-  /// step_event(): erases the timer mapping BEFORE the closure runs (so a
-  /// self-cancel is a no-op), advances the clock, and propagates the
-  /// event's label to anything the closure schedules.
-  void fire(std::map<Key, Entry>::iterator it);
+  /// Run one event already taken out of the queue (so a self-cancel is a
+  /// no-op). Shared by step() and step_event(): advances the clock and
+  /// propagates the event's label to anything the closure schedules.
+  void fire(Timers::Timer ev);
 
   VirtualClock clock_;
-  std::map<Key, Entry> events_;
-  std::map<TimerId, Key> timer_key_;
-  std::uint64_t next_seq_ = 1;
-  TimerId next_timer_ = 1;
+  Timers timers_;
   std::size_t executed_ = 0;
   std::string schedule_label_;  // stamped on newly scheduled events
 };

@@ -29,7 +29,7 @@ TEST(EventQueueChoice, EligibleListsSameTimeEventsInFifoOrder) {
   ASSERT_EQ(elig.size(), 2u);
   EXPECT_EQ(elig[0].id, a);
   EXPECT_EQ(elig[1].id, b);
-  EXPECT_LT(elig[0].seq, elig[1].seq);
+  EXPECT_LT(elig[0].id, elig[1].id);
   EXPECT_EQ(elig[0].at, 5);
 
   // Firing eligible()[0] is exactly step().
