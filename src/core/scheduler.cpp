@@ -452,27 +452,23 @@ void SchedulerServer::migrate_tick() {
   for (std::size_t i = 0; i < moves && i < cand.size(); ++i) {
     move_ids.push_back(cand[i].second);
   }
+  // Hand the units over in place: they stay assigned in the pool, so no
+  // frontier trim can forget one between the two leases. Every id is known
+  // to the pool (best_energy found it above), so issue_unit has a spec.
   for (auto id : move_ids) note_unit_reclaimed(id, obs::reclaim::kMigrated);
-  pool_.reclaim_many(move_ids);
-  std::vector<std::uint64_t> moved;
-  moved.reserve(move_ids.size());
   for (auto id : move_ids) {
-    auto spec = pool_.issue_unit(id);
-    if (!spec) continue;  // trimmed from the frontier between release/issue
     note_unit_issued(id);
-    moved.push_back(id);
-    fast.pending.assign.push_back(std::move(*spec));
+    fast.pending.assign.push_back(*pool_.issue_unit(id));
   }
-  if (moved.empty()) return;
   // Lease edits in one pass each, not one scan of the lease per moved unit.
-  std::vector<std::uint64_t> gone = moved;
+  std::vector<std::uint64_t> gone = move_ids;
   std::sort(gone.begin(), gone.end());
   std::erase_if(slow.units, [&](std::uint64_t id) {
     return std::binary_search(gone.begin(), gone.end(), id);
   });
-  slow.pending.revoke.insert(slow.pending.revoke.end(), moved.begin(),
-                             moved.end());
-  fast.units.insert(fast.units.end(), moved.begin(), moved.end());
+  slow.pending.revoke.insert(slow.pending.revoke.end(), move_ids.begin(),
+                             move_ids.end());
+  fast.units.insert(fast.units.end(), move_ids.begin(), move_ids.end());
   // Keep the fast client at its lease target: revoke one of its original
   // units (the lease's first fast_held entries) per takeover, oldest first —
   // the old swap semantics at want == 1.
@@ -495,9 +491,9 @@ void SchedulerServer::migrate_tick() {
     obs::trace().record(now, obs::SpanKind::kSchedMigration,
                         obs::trace().intern(slow_ep.to_string()),
                         static_cast<std::int64_t>(migrations_),
-                        static_cast<std::int64_t>(moved.size()));
+                        static_cast<std::int64_t>(move_ids.size()));
   }
-  EW_DEBUG << "scheduler: migrating " << moved.size() << " unit(s) from "
+  EW_DEBUG << "scheduler: migrating " << move_ids.size() << " unit(s) from "
            << slow_ep.to_string() << " to " << fast_it->second.to_string();
 }
 

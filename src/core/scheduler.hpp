@@ -29,6 +29,7 @@
 #pragma once
 
 #include <array>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -86,6 +87,12 @@ class SchedulerServer {
   [[nodiscard]] std::uint64_t counterexamples_stored() const { return found_stored_; }
   [[nodiscard]] std::uint64_t frontier_units_restored() const { return restored_; }
   [[nodiscard]] const ShardedWorkPool& pool() const { return pool_; }
+  /// The units this scheduler counts as `client`'s lease (empty if unknown).
+  [[nodiscard]] std::span<const std::uint64_t> lease(const Endpoint& client) const {
+    auto it = clients_.find(client);
+    if (it == clients_.end()) return {};
+    return it->second.units;
+  }
 
   /// Per-heuristic progress accounting behind the directive policy: energy
   /// improvement delivered per billion ops, by heuristic kind.

@@ -41,7 +41,8 @@ class ShardedWorkPool {
   /// Issue n units: globally best frontier units first, then fresh mints
   /// rotated across shards.
   std::vector<ramsey::WorkSpec> issue_many(std::size_t n);
-  /// Re-issue one specific idle unit (migration path).
+  /// Issue one specific unit, idle or assigned (migration path; see
+  /// WorkPool::acquire_unit).
   std::optional<ramsey::WorkSpec> issue_unit(std::uint64_t unit_id);
   /// Apply one progress report, routed to the owning shard; returns the
   /// unit's state before it (WorkPool::report).

@@ -136,10 +136,12 @@ ramsey::WorkSpec WorkPool::acquire() {
 
 std::optional<ramsey::WorkSpec> WorkPool::acquire_unit(std::uint64_t unit_id) {
   Unit* u = units_.find(unit_id);
-  if (u == nullptr || u->assigned) return std::nullopt;
-  idle_.erase({u->best_energy, unit_id});
-  u->assigned = true;
-  ++assigned_count_;
+  if (u == nullptr) return std::nullopt;
+  if (!u->assigned) {
+    idle_.erase({u->best_energy, unit_id});
+    u->assigned = true;
+    ++assigned_count_;
+  }
   return spec_for(unit_id, *u);
 }
 

@@ -59,8 +59,10 @@ class WorkPool {
   using KindChooser = std::function<ramsey::HeuristicKind(std::uint64_t unit_id)>;
   void set_kind_chooser(KindChooser chooser) { chooser_ = std::move(chooser); }
 
-  /// Re-issue a specific idle unit (scheduler migration path). Returns
-  /// nullopt if the unit is unknown or already assigned.
+  /// Issue a specific unit (scheduler migration path). An idle unit becomes
+  /// assigned; an assigned unit is handed over as it stands and stays
+  /// assigned, so no frontier trim can forget it in transit. Returns nullopt
+  /// if the unit is unknown.
   std::optional<ramsey::WorkSpec> acquire_unit(std::uint64_t unit_id);
 
   /// What a unit was before a report touched it.

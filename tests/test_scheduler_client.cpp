@@ -555,9 +555,10 @@ TEST_F(SchedulerClientTest, LargeLeaseMigrationIsPinned) {
   // Two clients hold full 8,192-unit leases; the slow one's best half moves
   // to the fast one, which then sheds as many of its own units. The
   // directives both clients receive, the pool's state and the order of the
-  // scheduler's unit spans are pinned. A 2,000-unit idle cap per shard
-  // makes the release trim some moved units, so both the skip path (a
-  // trimmed unit stays in the slow lease) and the fast trim are covered.
+  // scheduler's unit spans are pinned. The moved units are handed over in
+  // place, so the 2,000-unit idle cap per shard, which trims the fast
+  // client's shed units, cannot strand one: every unit in every
+  // server-side lease stays assigned in the pool.
   auto node = std::make_unique<Node>(events_, transport_, Endpoint{"sched", 601});
   node->start();
   SchedulerServer::Options o;
@@ -625,6 +626,14 @@ TEST_F(SchedulerClientTest, LargeLeaseMigrationIsPinned) {
   obs::trace().set_enabled(false);
   obs::trace().set_capacity(4096);
   ASSERT_EQ(sched.migrations(), 1u);
+  auto expect_leases_assigned = [&] {
+    for (const Endpoint& ep : eps) {
+      std::size_t unassigned = 0;
+      for (auto id : sched.lease(ep)) unassigned += !sched.pool().assigned(id);
+      EXPECT_EQ(unassigned, 0u) << ep.to_string() << " holds units the pool lost";
+    }
+  };
+  expect_leases_assigned();
 
   std::uint64_t span_digest = kFnvBasis;
   std::size_t unit_spans = 0;
@@ -666,17 +675,18 @@ TEST_F(SchedulerClientTest, LargeLeaseMigrationIsPinned) {
                                            blob.size()));
   }
 
-  // 4,096 moves attempted; the per-shard idle cap trims 96 before re-issue.
-  EXPECT_EQ(slow_d.revoke.size(), 4000u);
-  EXPECT_EQ(slow_d.assign.size(), 4000u);  // top-up: the fast client's shed units
-  EXPECT_EQ(fast_d.revoke.size(), 4000u);
-  EXPECT_EQ(fast_d.assign.size(), 4000u);  // the moved units
-  EXPECT_EQ(unit_spans, 4096u + 4000u + 4000u + 1u);
-  EXPECT_EQ(sched.pool().assigned_count(), 16288u);
+  expect_leases_assigned();
+  // All 4,096 moves land; the fast client sheds as many of its own units.
+  EXPECT_EQ(slow_d.revoke.size(), 4096u);
+  EXPECT_EQ(slow_d.assign.size(), 4096u);  // top-up: the fast client's shed units
+  EXPECT_EQ(fast_d.revoke.size(), 4096u);
+  EXPECT_EQ(fast_d.assign.size(), 4096u);  // the moved units
+  EXPECT_EQ(unit_spans, 4096u + 4096u + 4096u + 1u);
+  EXPECT_EQ(sched.pool().assigned_count(), 16384u);
   EXPECT_EQ(sched.pool().idle_frontier_size(), 0u);
-  EXPECT_EQ(span_digest, 13423122318084428287ULL);
-  EXPECT_EQ(directive_digest, 5424197320592996141ULL);
-  EXPECT_EQ(pool_digest, 10401382091200234545ULL);
+  EXPECT_EQ(span_digest, 12868634657659337593ULL);
+  EXPECT_EQ(directive_digest, 3408981918227257910ULL);
+  EXPECT_EQ(pool_digest, 9132987666883356384ULL);
   sched.stop();
 }
 

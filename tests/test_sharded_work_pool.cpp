@@ -151,7 +151,10 @@ TEST(ShardedWorkPool, IssueUnitRoutesMigrationReissue) {
   ShardedWorkPool pool(sharded(3));
   const auto specs = pool.issue_many(3);
   const auto id = specs[1].unit_id;
-  EXPECT_FALSE(pool.issue_unit(id).has_value());  // still assigned
+  const auto handed = pool.issue_unit(id);  // assigned: handed over in place
+  ASSERT_TRUE(handed.has_value());
+  EXPECT_EQ(handed->unit_id, id);
+  EXPECT_EQ(pool.assigned_count(), 3u);
   const ramsey::WorkReport rep = report_for(id, 9);
   pool.report(rep);
   pool.reclaim_many({&id, 1});

@@ -95,10 +95,19 @@ TEST(WorkPool, AcquirePrefersLowestEnergyFrontier) {
   EXPECT_EQ(pool.acquire().unit_id, b.unit_id);
 }
 
-TEST(WorkPool, AcquireUnitOnlyWhenIdle) {
+TEST(WorkPool, AcquireUnitHandsOverAssignedUnit) {
   WorkPool pool(small_pool());
   const auto spec = pool.acquire();
-  EXPECT_FALSE(pool.acquire_unit(spec.unit_id).has_value());  // assigned
+  // An assigned unit is handed over as it stands: same spec, still assigned,
+  // counted once.
+  const auto handed = pool.acquire_unit(spec.unit_id);
+  ASSERT_TRUE(handed.has_value());
+  EXPECT_EQ(handed->unit_id, spec.unit_id);
+  EXPECT_EQ(handed->seed, spec.seed);
+  EXPECT_EQ(handed->kind, spec.kind);
+  EXPECT_TRUE(pool.assigned(spec.unit_id));
+  EXPECT_EQ(pool.assigned_count(), 1u);
+  // An idle unit becomes assigned.
   pool.report(report_for(spec.unit_id, 9));
   pool.release_many(std::array{spec.unit_id});
   const auto again = pool.acquire_unit(spec.unit_id);
