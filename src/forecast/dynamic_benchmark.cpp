@@ -35,52 +35,4 @@ Forecast EventForecasterBank::forecast(const EventTag& tag) const {
   return it->second.forecast();
 }
 
-ShardedEventForecasterBank::ShardedEventForecasterBank(
-    std::size_t shards, std::size_t expected_events_per_shard) {
-  if (shards == 0) shards = 1;
-  shards_.reserve(shards);
-  for (std::size_t i = 0; i < shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>(expected_events_per_shard));
-  }
-}
-
-ShardedEventForecasterBank::Shard& ShardedEventForecasterBank::shard_for(
-    const EventTag& tag) const {
-  return *shards_[EventTagHash{}(tag) % shards_.size()];
-}
-
-void ShardedEventForecasterBank::record(const EventTag& tag, double value) {
-  Shard& s = shard_for(tag);
-  std::lock_guard<std::mutex> lock(s.mu);
-  s.bank.record(tag, value);
-}
-
-void ShardedEventForecasterBank::record_batch(const EventTag& tag,
-                                              std::span<const double> values) {
-  Shard& s = shard_for(tag);
-  std::lock_guard<std::mutex> lock(s.mu);
-  s.bank.record_batch(tag, values);
-}
-
-Forecast ShardedEventForecasterBank::forecast(const EventTag& tag) const {
-  Shard& s = shard_for(tag);
-  std::lock_guard<std::mutex> lock(s.mu);
-  return s.bank.forecast(tag);
-}
-
-std::size_t ShardedEventForecasterBank::tracked_events() const {
-  std::size_t n = 0;
-  for (const auto& s : shards_) {
-    std::lock_guard<std::mutex> lock(s->mu);
-    n += s->bank.tracked_events();
-  }
-  return n;
-}
-
-bool ShardedEventForecasterBank::knows(const EventTag& tag) const {
-  Shard& s = shard_for(tag);
-  std::lock_guard<std::mutex> lock(s.mu);
-  return s.bank.knows(tag);
-}
-
 }  // namespace ew

@@ -12,12 +12,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "common/clock.hpp"
 #include "forecast/selector.hpp"
@@ -79,36 +76,6 @@ class EventForecasterBank {
  private:
   AdaptiveForecaster& stream(const EventTag& tag);
   std::unordered_map<EventTag, AdaptiveForecaster, EventTagHash> bank_;
-};
-
-/// Thread-safe EventForecasterBank for components whose recording paths run
-/// concurrently (scheduler, gossip and timeout layers all record into one
-/// bank in the threaded deployments). Tags are hashed onto `shards`
-/// independently-locked banks, so recorders for different events proceed in
-/// parallel instead of serializing on one map-wide lock; the same event tag
-/// always lands on the same shard, preserving per-stream ordering.
-class ShardedEventForecasterBank {
- public:
-  explicit ShardedEventForecasterBank(std::size_t shards = 8,
-                                      std::size_t expected_events_per_shard = 16);
-
-  void record(const EventTag& tag, double value);
-  void record_batch(const EventTag& tag, std::span<const double> values);
-  [[nodiscard]] Forecast forecast(const EventTag& tag) const;
-
-  [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
-  [[nodiscard]] std::size_t tracked_events() const;
-  [[nodiscard]] bool knows(const EventTag& tag) const;
-
- private:
-  struct Shard {
-    explicit Shard(std::size_t expected) : bank(expected) {}
-    mutable std::mutex mu;
-    EventForecasterBank bank;
-  };
-  [[nodiscard]] Shard& shard_for(const EventTag& tag) const;
-  // unique_ptr: Shard holds a mutex and must stay address-stable.
-  std::vector<std::unique_ptr<Shard>> shards_;
 };
 
 /// RAII timing primitive: measures the time from construction to finish()
