@@ -28,6 +28,13 @@ if(NOT rc_ramsey EQUAL 0)
   message(FATAL_ERROR "micro_ramsey --quick failed (exit ${rc_ramsey})")
 endif()
 
+# Timer core: --quick runs a few rounds at both queue depths; non-zero exit
+# means TimerQueue popped out of (deadline, id) order.
+execute_process(COMMAND ${MICRO_TIMER} --quick RESULT_VARIABLE rc_timer)
+if(NOT rc_timer EQUAL 0)
+  message(FATAL_ERROR "micro_timer --quick failed (exit ${rc_timer})")
+endif()
+
 # Reliable-call policy arms (retry/hedge vs bare call under injected loss).
 # --quick shrinks the call count but still asserts the policy arms dominate.
 execute_process(COMMAND ${ABLATION_TIMEOUTS} --quick RESULT_VARIABLE rc_policy)

@@ -1,0 +1,169 @@
+// Microbenchmark for the shared timer core, TimerQueue (net/timer_queue.hpp),
+// which both the Reactor and the sim EventQueue wrap.
+//
+// At each of two queue depths (1,000 and 100,000 pending timers) it times
+// rounds of K operations: K adds with random deadlines, K cancels of those
+// same timers, then K pops of the earliest timers (each popped callable is
+// run), after which the queue is refilled to its depth untimed. Deadlines
+// are drawn ahead of the last popped deadline, as an executor's would be.
+// Allocations are counted by a replacement global operator new (the
+// micro_obs pattern) over the timed add and pop legs and reported per event
+// (one add plus one pop), for a small closure that captures one pointer.
+//
+// The numbers are a baseline, not a gate. The one check is correctness:
+// every round's pops must come out in (deadline, id) order, else exit 1.
+// Emits ONE machine-readable JSON line (see EXPERIMENTS.md, "Timer-queue
+// microbenchmark"):
+//
+//   {"bench":"micro_timer","rounds":...,"batch":...,
+//    "ns_add_1k":...,"ns_cancel_1k":...,"ns_pop_1k":...,
+//    "ns_add_100k":...,"ns_cancel_100k":...,"ns_pop_100k":...,
+//    "allocs_per_event":...,"checksum":...}
+#include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <new>
+#include <string>
+#include <vector>
+
+#include "bench/bench_util.hpp"
+#include "common/rng.hpp"
+#include "net/timer_queue.hpp"
+
+// Program-wide allocation counter (replaces the global operator new) so the
+// allocations per event are measured, not assumed.
+namespace {
+std::atomic<std::uint64_t> g_allocs{0};
+}  // namespace
+
+void* operator new(std::size_t n) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n ? n : 1)) return p;
+  throw std::bad_alloc{};
+}
+void* operator new[](std::size_t n) { return operator new(n); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+
+namespace ew {
+namespace {
+
+double now_ns() {
+  return static_cast<double>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
+
+struct DepthResult {
+  double ns_add = 0;
+  double ns_cancel = 0;
+  double ns_pop = 0;
+  std::uint64_t events = 0;  // timed adds that were later popped
+  std::uint64_t allocs = 0;  // during the timed add and pop legs
+  bool ordered = true;
+};
+
+constexpr Duration kSpan = 10 * kSecond;  // deadline spread ahead of "now"
+
+DepthResult run_depth(std::size_t depth, std::size_t batch, std::size_t rounds,
+                      Rng& rng, std::uint64_t& sink) {
+  TimerQueue<> q;
+  TimePoint now = 0;
+  auto fn = [&sink] { ++sink; };
+  auto fill = [&](std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      q.add(now, static_cast<Duration>(rng.below(kSpan)), fn);
+    }
+  };
+  fill(depth);
+
+  DepthResult r;
+  std::vector<TimerId> ids(batch);
+  std::vector<Duration> delays(batch);
+  double add_ns = 0, cancel_ns = 0, pop_ns = 0;
+  for (std::size_t round = 0; round < rounds; ++round) {
+    for (auto& d : delays) d = static_cast<Duration>(rng.below(kSpan));
+
+    std::uint64_t a0 = g_allocs.load(std::memory_order_relaxed);
+    double t0 = now_ns();
+    for (std::size_t i = 0; i < batch; ++i) ids[i] = q.add(now, delays[i], fn);
+    double t1 = now_ns();
+    r.allocs += g_allocs.load(std::memory_order_relaxed) - a0;
+    add_ns += t1 - t0;
+
+    t0 = now_ns();
+    for (TimerId id : ids) q.cancel(id);
+    t1 = now_ns();
+    cancel_ns += t1 - t0;
+
+    // Re-add the batch untimed so the pop leg pops as many as were added.
+    fill(batch);
+    a0 = g_allocs.load(std::memory_order_relaxed);
+    TimePoint last_at = now;
+    TimerId last_id = 0;
+    t0 = now_ns();
+    for (std::size_t i = 0; i < batch; ++i) {
+      TimerQueue<>::Timer t = q.pop();
+      if (t.at < last_at || (t.at == last_at && t.id < last_id)) r.ordered = false;
+      last_at = t.at;
+      last_id = t.id;
+      t.fn();
+    }
+    t1 = now_ns();
+    r.allocs += g_allocs.load(std::memory_order_relaxed) - a0;
+    pop_ns += t1 - t0;
+    now = last_at;
+    r.events += batch;
+  }
+  const double ops = static_cast<double>(batch * rounds);
+  r.ns_add = add_ns / ops;
+  r.ns_cancel = cancel_ns / ops;
+  r.ns_pop = pop_ns / ops;
+  return r;
+}
+
+}  // namespace
+}  // namespace ew
+
+int main(int argc, char** argv) {
+  using namespace ew;
+  bool quick = false;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--quick") == 0) quick = true;
+  }
+  const std::size_t kBatch = 500;
+  const std::size_t kRounds = quick ? 20 : 2'000;
+
+  Rng rng(42);
+  std::uint64_t sink = 0;
+  const DepthResult small = run_depth(1'000, kBatch, kRounds, rng, sink);
+  const DepthResult large = run_depth(100'000, kBatch, kRounds, rng, sink);
+
+  const double allocs_per_event =
+      static_cast<double>(small.allocs + large.allocs) /
+      static_cast<double>(small.events + large.events);
+
+  bench::JsonWriter line;
+  line.u64("rounds", kRounds)
+      .u64("batch", kBatch)
+      .f("ns_add_1k", small.ns_add, 2)
+      .f("ns_cancel_1k", small.ns_cancel, 2)
+      .f("ns_pop_1k", small.ns_pop, 2)
+      .f("ns_add_100k", large.ns_add, 2)
+      .f("ns_cancel_100k", large.ns_cancel, 2)
+      .f("ns_pop_100k", large.ns_pop, 2)
+      .f("allocs_per_event", allocs_per_event, 2)
+      .u64("checksum", sink);
+  bench::emit_json("micro_timer", line);
+
+  if (!small.ordered || !large.ordered) {
+    std::fprintf(stderr, "micro_timer: pops left (deadline, id) order\n");
+    return 1;
+  }
+  return 0;
+}
