@@ -5,7 +5,6 @@
 
 #include <optional>
 #include <string>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -130,15 +129,8 @@ class TimerQueueContract : public ::testing::Test {
   static constexpr Duration unit = Driver::unit;
 };
 
-struct DriverNames {
-  template <typename T>
-  static std::string GetName(int) {
-    return std::is_same_v<T, ReactorDriver> ? "Reactor" : "EventQueue";
-  }
-};
-
 using Drivers = ::testing::Types<ReactorDriver, EventQueueDriver>;
-TYPED_TEST_SUITE(TimerQueueContract, Drivers, DriverNames);
+TYPED_TEST_SUITE(TimerQueueContract, Drivers);
 
 TYPED_TEST(TimerQueueContract, EqualDelaysFireInScheduleOrder) {
   std::vector<int> order;
