@@ -21,11 +21,17 @@
 //   {"bench":"gossip_scale","cliques":2,"types":64,
 //    "scales":[{"components":...,"digest_bytes_max":...,
 //               "convergence_rounds":...,"delta_blobs":...,"polls":...,
-//               "updates_pushed":...,"sim_events":...},...],
+//               "updates_pushed":...,"sim_events":...,"wall_s":...,
+//               "sim_events_per_s":...},...],
 //    "digest_growth":...,"rounds_max":...,"diverged":0}
+//
+// wall_s is the host time of one whole scale (building the population
+// through the chaos leg and the checks) and sim_events_per_s is sim_events
+// over it; every other field is deterministic.
 //
 // --quick shrinks the population ladder (500 -> 2000) for the CI smoke run
 // but keeps every correctness gate.
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -86,10 +92,12 @@ struct ScaleResult {
   std::uint64_t polls = 0;
   std::uint64_t updates_pushed = 0;
   std::uint64_t sim_events = 0;
+  double wall_s = 0;  // host seconds for the whole scale
   int diverged = 0;  // count of failed correctness checks at this scale
 };
 
 ScaleResult run_scale(std::size_t num_components, std::uint64_t seed) {
+  const auto wall_start = std::chrono::steady_clock::now();
   ScaleResult r;
   r.components = num_components;
   sim::EventQueue events;
@@ -236,6 +244,8 @@ ScaleResult run_scale(std::size_t num_components, std::uint64_t seed) {
   r.sim_events = events.executed();
   for (auto& s : servers) s->stop();
   for (auto& c : comps) c->sync->stop();
+  r.wall_s = std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start)
+                 .count();
   return r;
 }
 
@@ -267,7 +277,9 @@ int main(int argc, char** argv) {
         .u64("delta_blobs", r.delta_blobs)
         .u64("polls", r.polls)
         .u64("updates_pushed", r.updates_pushed)
-        .u64("sim_events", r.sim_events);
+        .u64("sim_events", r.sim_events)
+        .f("wall_s", r.wall_s, 3)
+        .f("sim_events_per_s", static_cast<double>(r.sim_events) / r.wall_s, 0);
     scale_objs.push_back(s.object());
   }
   const ScaleResult& lo = results.front();
