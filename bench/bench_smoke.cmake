@@ -29,7 +29,8 @@ if(NOT rc_ramsey EQUAL 0)
 endif()
 
 # Timer core: --quick runs a few rounds at both queue depths; non-zero exit
-# means TimerQueue popped out of (deadline, id) order.
+# means TimerQueue popped out of (deadline, id) order or allocated while
+# adding or popping timers.
 execute_process(COMMAND ${MICRO_TIMER} --quick RESULT_VARIABLE rc_timer)
 if(NOT rc_timer EQUAL 0)
   message(FATAL_ERROR "micro_timer --quick failed (exit ${rc_timer})")

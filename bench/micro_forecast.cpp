@@ -7,7 +7,8 @@
 // BENCH trajectory can track ns/observe across PRs:
 //
 //   {"bench":"micro_forecast","samples":...,"ns_per_observe":...,
-//    "ns_per_forecast":...,"ns_per_bank_record":...,
+//    "ns_per_forecast":...,"ns_per_observe_forecast":...,
+//    "ns_per_bank_record":...,
 //    "ns_per_batch_observe":...,"per_method":{"last":...,...},
 //    "checksum":...}
 //
@@ -93,6 +94,19 @@ int main(int argc, char** argv) {
   });
   checksum += fc.checksum;
 
+  // observe() then forecast(), as a caller reads a forecast after each
+  // measurement: every forecast() rescans MAEs that just moved. A second
+  // selector, whose sum stays out of `checksum` so the checksum remains
+  // comparable with runs that lack this leg.
+  auto interleaved = AdaptiveForecaster::nws_default();
+  for (double v : make_series(512, 99)) interleaved.observe(v);
+  const Timed ofc = time_per_op(kObs, [&](std::size_t i) {
+    interleaved.observe(series[i]);
+    return interleaved.forecast().value;
+  });
+  volatile double interleaved_sink = ofc.checksum;
+  (void)interleaved_sink;
+
   // Bank record: hash lookup + observe, the full per-RPC path.
   EventForecasterBank bank;
   const EventTag tag{"sched-0:601", 0x0202};
@@ -128,6 +142,7 @@ int main(int argc, char** argv) {
   line.u64("samples", kObs)
       .f("ns_per_observe", obs.ns_per_op, 1)
       .f("ns_per_forecast", fc.ns_per_op, 1)
+      .f("ns_per_observe_forecast", ofc.ns_per_op, 1)
       .f("ns_per_bank_record", rec.ns_per_op, 1)
       .f("ns_per_batch_observe", ns_batch, 1)
       .raw("per_method", per_method.object())

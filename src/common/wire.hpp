@@ -139,31 +139,20 @@ struct Shape {
 template <class T>
 Shape shape();
 
-/// Sums the wire size of the fields it visits. A type's shape counts a list
-/// as its count alone (not fixed); sizing a value with `elements` set also
-/// counts list elements of fixed size, so a message made only of scalars
-/// and lists of fixed-size elements gets its exact encoded size.
+/// Sums the minimum wire size of the fields of a type: a string, list or
+/// optional counts its length, count or flag alone and makes the type not
+/// fixed.
 class Sizer {
  public:
-  explicit Sizer(bool elements) : elements_(elements) {}
-
   template <class... F>
-  void operator()(F&&... f) {
-    (add(f), ...);
+  void operator()(F&&...) {
+    (add<std::decay_t<F>>(), ...);
   }
 
   template <class T>
-  void add(const T& v) {
+  void add() {
     if constexpr (is_as<T>) {
       result.bytes += sizeof(typename T::wire_type);
-    } else if constexpr (is_vector<T> || is_map<T>) {
-      const Shape e = shape<typename element<T>::type>();
-      result.bytes += 4;
-      if (elements_ && e.fixed) {
-        result.bytes += v.size() * e.bytes;
-      } else if (!elements_ || !v.empty()) {
-        result.fixed = false;
-      }
     } else {
       const Shape s = shape<T>();
       result.bytes += s.bytes;
@@ -172,9 +161,6 @@ class Sizer {
   }
 
   Shape result;
-
- private:
-  bool elements_;
 };
 
 template <class T>
@@ -196,7 +182,7 @@ Shape shape() {
     static_assert(Message<T>, "type has no wire encoding");
     static const Shape s = [] {
       T t{};
-      Sizer z(false);
+      Sizer z;
       t.fields(z);
       return z.result;
     }();
@@ -204,16 +190,55 @@ Shape shape() {
   }
 }
 
-/// Exact encoded size of `v` when it is a formula of its list counts, else 0.
-template <class T>
-std::size_t exact_size(const T& v) {
-  Sizer s(true);
-  if constexpr (Message<T>) {
-    const_cast<T&>(v).fields(s);  // the sizer only reads
-  } else {
-    s.add(v);
+/// Sums the encoded size of the values it visits. An image's size is known
+/// only to its serialize(), so a present image clears `exact`.
+class ValueSizer {
+ public:
+  template <class... F>
+  void operator()(F&&... f) {
+    (add(f), ...);
   }
-  return s.result.fixed ? s.result.bytes : 0;
+
+  template <class T>
+  void add(const T& v) {
+    if constexpr (is_as<T>) {
+      bytes += sizeof(typename T::wire_type);
+    } else if constexpr (std::is_arithmetic_v<T> || std::is_enum_v<T>) {
+      bytes += sizeof(T);
+    } else if constexpr (std::is_same_v<T, std::string> || std::is_same_v<T, Bytes>) {
+      bytes += 4 + v.size();
+    } else if constexpr (Image<T>) {
+      exact = false;
+    } else if constexpr (is_optional<T>) {
+      bytes += 1;
+      if (v) add(*v);
+    } else if constexpr (is_vector<T> || is_map<T>) {
+      bytes += 4;
+      if (const Shape e = shape<typename element<T>::type>(); e.fixed) {
+        bytes += v.size() * e.bytes;
+      } else {
+        for (const auto& x : v) add(x);
+      }
+    } else if constexpr (is_pair<T>) {
+      add(v.first);
+      add(v.second);
+    } else {
+      const_cast<T&>(v).fields(*this);  // the sizer only reads
+    }
+  }
+
+  std::size_t bytes = 0;
+  bool exact = true;
+};
+
+/// Exact encoded size of `v` (no envelope), or nullopt when it holds an
+/// image.
+template <class T>
+std::optional<std::size_t> exact_size(const T& v) {
+  ValueSizer s;
+  s.add(v);
+  if (!s.exact) return std::nullopt;
+  return s.bytes;
 }
 
 class Encoder {
@@ -433,8 +458,8 @@ void write(Writer& w, const T& v) {
 /// Encodes v: the envelope of `f`, then the fields.
 template <class T>
 Bytes encode(const T& v, const Format& f = detail::format_of<T>()) {
-  const std::size_t exact = detail::exact_size(v);
-  Writer w(exact == 0 ? 0 : exact + (f.version != 0 ? 3 : 0));
+  const std::optional<std::size_t> exact = detail::exact_size(v);
+  Writer w(exact ? *exact + (f.version != 0 ? 3 : 0) : 0);
   detail::Encoder e(w);
   e.envelope(f);
   e.put(v);

@@ -1,5 +1,7 @@
 #include "forecast/selector.hpp"
 
+#include <algorithm>
+#include <array>
 #include <stdexcept>
 
 #include "obs/registry.hpp"
@@ -65,9 +67,24 @@ void AdaptiveForecaster::observe(std::span<const double> values) {
 }
 
 std::size_t AdaptiveForecaster::best_index() const {
+  // A block of MAEs first: the divisions are independent, so they pipeline
+  // instead of each waiting on the previous comparison. Then the same
+  // strict-< scan for the first minimum over the same values, so the winner
+  // is the same. The standard battery fits one block.
+  constexpr std::size_t kBlock = 16;
+  const std::size_t n = errors_.size();
   std::size_t best = 0;
-  for (std::size_t i = 1; i < errors_.size(); ++i) {
-    if (errors_[i].mae() < errors_[best].mae()) best = i;
+  double best_mae = errors_[0].mae();
+  for (std::size_t base = 0; base < n; base += kBlock) {
+    const std::size_t m = std::min(kBlock, n - base);
+    std::array<double, kBlock> mae;
+    for (std::size_t i = 0; i < m; ++i) mae[i] = errors_[base + i].mae();
+    for (std::size_t i = 0; i < m; ++i) {
+      if (mae[i] < best_mae) {
+        best_mae = mae[i];
+        best = base + i;
+      }
+    }
   }
   return best;
 }

@@ -4,7 +4,8 @@
 // avoided threads and fork() entirely for portability (Section 5.1). An
 // Executor provides "call me later" (timers) and "call me soon" (posted
 // work). Two implementations exist, both keeping their timers in the one
-// TimerQueue (src/net/timer_queue.hpp):
+// TimerQueue (src/net/timer_queue.hpp), a 4-ary heap ordered by
+// (deadline, id):
 //   * sim::EventQueue (src/sim) — virtual time, deterministic,
 //   * Reactor (src/net/reactor.hpp) — real time, epoll or select() readiness.
 #pragma once

@@ -1,6 +1,6 @@
 // Reactor: the real-time Executor.
 //
-// A single-threaded readiness loop with an ordered timer queue (the shared
+// A single-threaded readiness loop with a timer heap (the shared
 // TimerQueue, see net/timer_queue.hpp) — the shape of every EveryWare server
 // process in the paper (single-threaded, select()-driven, no signals;
 // Section 5.1). The TcpTransport registers its sockets here.

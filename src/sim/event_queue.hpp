@@ -37,8 +37,8 @@ class EventQueue final : public Executor {
   TimerId schedule(Duration delay, std::function<void()> fn) override;
   void cancel(TimerId id) override;
 
-  /// Execute events until the queue is empty or `limit` events have run.
-  /// Returns the number of events executed.
+  /// Execute events until the queue is empty. Returns the number of events
+  /// executed; throws if `limit` events have run and events remain.
   std::size_t run_until_idle(std::size_t limit = 100'000'000);
 
   /// Execute events with time <= t, then advance the clock to exactly t.

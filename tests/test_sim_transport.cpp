@@ -89,6 +89,15 @@ TEST(EventQueue, LivelockGuardThrows) {
   EXPECT_THROW(q.run_until_idle(1000), std::runtime_error);
 }
 
+TEST(EventQueue, LimitEqualToTheEventCountDrainsWithoutThrowing) {
+  EventQueue q;
+  int ran = 0;
+  for (int i = 0; i < 10; ++i) q.schedule(i * kSecond, [&] { ++ran; });
+  EXPECT_EQ(q.run_until_idle(10), 10u);
+  EXPECT_EQ(ran, 10);
+  EXPECT_EQ(q.pending(), 0u);
+}
+
 // --- Traces --------------------------------------------------------------------
 
 TEST(Ar1Process, StaysInBounds) {

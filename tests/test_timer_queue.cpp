@@ -3,12 +3,15 @@
 // sim::EventQueue in virtual time) by one typed test.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
 #include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/clock.hpp"
+#include "common/rng.hpp"
 #include "net/executor.hpp"
 #include "net/reactor.hpp"
 #include "net/timer_queue.hpp"
@@ -103,6 +106,111 @@ TEST(TimerQueue, ForEachEarliestVisitsTheEarliestGroupInOrder) {
   EXPECT_EQ(seen, (std::vector<std::pair<TimerId, std::string>>{{a, "a"}, {b, "b"}}));
   TimerQueue<> empty;
   empty.for_each_earliest([](TimerId, TimePoint, const Empty&) { FAIL(); });
+}
+
+// 100k random add/cancel/take/pop operations against a reference model: a
+// multimap from deadline to id (equal deadlines keep insertion order, which
+// is id order) plus an id -> deadline map. Deadlines are drawn from a narrow
+// window so ties are common, phases alternate between growing and draining
+// the queue, and cancel/take pick any pending id, so most removals come from
+// the middle of the heap. Each timer's tag and callable must be its own.
+TEST(TimerQueue, MatchesAReferenceModelOverRandomOperations) {
+  TimerQueue<std::uint64_t> q;
+  std::multimap<TimePoint, TimerId> order;
+  std::map<TimerId, TimePoint> pending;
+  Rng rng(0x71AE);
+  TimePoint now = 0;
+  TimerId last_id = 0;
+  TimerId ran = kInvalidTimer;  // set by the callable that last ran
+
+  auto forget = [&](TimerId id) {
+    const TimePoint at = pending.at(id);
+    auto [lo, hi] = order.equal_range(at);
+    for (auto it = lo; it != hi; ++it) {
+      if (it->second == id) {
+        order.erase(it);
+        break;
+      }
+    }
+    pending.erase(id);
+  };
+  // A pending id (from anywhere in the queue) or, one time in four, an id
+  // that is invalid, already gone or never issued.
+  auto pick = [&]() -> TimerId {
+    if (pending.empty() || rng.below(4) == 0) return rng.below(last_id + 3);
+    const auto it = pending.lower_bound(1 + rng.below(last_id));
+    return it == pending.end() ? pending.begin()->first : it->first;
+  };
+  auto expect_timer = [&](const TimerQueue<std::uint64_t>::Timer& t, TimerId id,
+                          TimePoint at) {
+    EXPECT_EQ(t.id, id);
+    EXPECT_EQ(t.at, at);
+    EXPECT_EQ(t.tag, id * 7);
+    t.fn();
+    EXPECT_EQ(ran, id);
+  };
+
+  constexpr int kOps = 100'000;
+  for (int op = 0; op < kOps; ++op) {
+    const bool growing = (op / 5'000) % 2 == 0;
+    const std::uint64_t roll = rng.below(100);
+    if (roll < (growing ? 55u : 25u)) {
+      const Duration delay = static_cast<Duration>(rng.below(64)) - 8;
+      const TimerId id = last_id + 1;
+      ASSERT_EQ(q.add(now, delay, [&ran, id] { ran = id; }, id * 7), id);
+      last_id = id;
+      const TimePoint at = now + (delay < 0 ? 0 : delay);
+      order.emplace(at, id);
+      pending.emplace(id, at);
+    } else if (roll < 70) {
+      const TimerId id = pick();
+      const bool was_pending = pending.contains(id);
+      q.cancel(id);
+      if (was_pending) forget(id);
+      ASSERT_FALSE(q.deadline(id).has_value());
+    } else if (roll < 80) {
+      const TimerId id = pick();
+      auto t = q.take(id);
+      ASSERT_EQ(t.has_value(), pending.contains(id));
+      if (t) {
+        const TimePoint at = pending.at(id);
+        forget(id);
+        expect_timer(*t, id, at);
+      }
+    } else if (!order.empty()) {
+      const auto [at, id] = *order.begin();
+      order.erase(order.begin());
+      pending.erase(id);
+      expect_timer(q.pop(), id, at);
+      now = at;
+    }
+
+    ASSERT_EQ(q.size(), pending.size());
+    ASSERT_EQ(q.empty(), pending.empty());
+    if (!order.empty()) {
+      ASSERT_EQ(q.next_at(), order.begin()->first);
+    }
+    const TimerId probe = pick();
+    const auto it = pending.find(probe);
+    ASSERT_EQ(q.deadline(probe),
+              it == pending.end() ? std::nullopt : std::optional<TimePoint>(it->second));
+    if (op % 997 == 0 && !order.empty()) {
+      std::vector<TimerId> want;
+      for (auto [lo, hi] = order.equal_range(order.begin()->first); lo != hi; ++lo) {
+        want.push_back(lo->second);
+      }
+      std::vector<TimerId> seen;
+      q.for_each_earliest([&](TimerId id, TimePoint, const std::uint64_t&) { seen.push_back(id); });
+      ASSERT_EQ(seen, want);
+    }
+  }
+  // Drain: the rest come out in (deadline, id) order.
+  while (!order.empty()) {
+    const auto [at, id] = *order.begin();
+    order.erase(order.begin());
+    expect_timer(q.pop(), id, at);
+  }
+  EXPECT_TRUE(q.empty());
 }
 
 // ---- The contract through both executors --------------------------------
