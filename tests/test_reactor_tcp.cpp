@@ -1,6 +1,7 @@
 // Tests for the real-time side of the lingua franca: the Reactor (both the
 // select and epoll backends) and TCP transport over localhost.
 #include <gtest/gtest.h>
+#include <fcntl.h>
 #include <sys/resource.h>
 #include <unistd.h>
 
@@ -383,6 +384,58 @@ TEST(Reactor, StaleReadyCallbackNotInvokedAfterUnwatch) {
     if (!closed2) ::close(p2[0]);
     ::close(p1[1]);
     ::close(p2[1]);
+  }
+}
+
+TEST(Reactor, ReadyFactForAReusedFdNumberIsSkipped) {
+  // Two fds become ready in the same poll; the first callback to run
+  // unwatches and closes the other, dup2()s a fresh, unreadable pipe onto
+  // that same fd number and watches it. The queued readiness fact for the
+  // number belongs to the closed pipe's registration: only the generation
+  // check keeps it from reaching the new callback.
+  for (ReactorBackend backend : all_backends()) {
+    Reactor r(backend);
+    int p1[2], p2[2], fresh[2];
+    ASSERT_EQ(::pipe(p1), 0);
+    ASSERT_EQ(::pipe(p2), 0);
+    // Non-blocking, so a callback that wrongly runs on it does not hang.
+    ASSERT_EQ(::pipe2(fresh, O_NONBLOCK), 0);
+    ASSERT_EQ(::write(p1[1], "x", 1), 1);
+    ASSERT_EQ(::write(p2[1], "x", 1), 1);
+    int fired_old = 0, fired_new = 0;
+    int reused = -1;  // the fd number now naming fresh's read end
+    auto first = [&](int self, int other) {
+      ++fired_old;
+      r.unwatch_readable(self);
+      if (reused >= 0) return;
+      r.unwatch_readable(other);
+      ::close(other);
+      reused = ::dup2(fresh[0], other);
+      ::close(fresh[0]);
+      r.watch_readable(reused, [&] {
+        ++fired_new;
+        char buf[4];
+        [[maybe_unused]] ssize_t n = ::read(reused, buf, sizeof(buf));
+      });
+    };
+    r.watch_readable(p1[0], [&] { first(p1[0], p2[0]); });
+    r.watch_readable(p2[0], [&] { first(p2[0], p1[0]); });
+    r.run_for(50 * kMillisecond);
+    ASSERT_TRUE(reused == p1[0] || reused == p2[0])
+        << "backend " << static_cast<int>(backend);
+    EXPECT_EQ(fired_old, 1) << "backend " << static_cast<int>(backend);
+    EXPECT_EQ(fired_new, 0) << "backend " << static_cast<int>(backend);
+    // The new registration reached the kernel: data on the fresh pipe
+    // wakes its callback, exactly once.
+    ASSERT_EQ(::write(fresh[1], "y", 1), 1);
+    r.run_for(50 * kMillisecond);
+    EXPECT_EQ(fired_new, 1) << "backend " << static_cast<int>(backend);
+    r.unwatch_readable(reused);
+    ::close(p1[0] == reused ? p2[0] : p1[0]);
+    ::close(reused);
+    ::close(p1[1]);
+    ::close(p2[1]);
+    ::close(fresh[1]);
   }
 }
 
