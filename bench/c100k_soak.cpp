@@ -19,7 +19,7 @@
 // from its own thread, with per-shard {shard=K} twins for attribution.
 //
 // Emits one machine-readable JSON line (see EXPERIMENTS.md):
-//   {"bench":"c100k_soak","backend":"epoll","shards":4,"connections":...}
+//   {"bench":"c100k_soak","shards":4,"connections":...}
 //
 // Full scale (20k conns / 4+ shards / >=10x single-reactor throughput)
 // needs a multi-core box and an fd budget of ~3 fds per client; the
@@ -28,8 +28,7 @@
 // calls/s; correctness is always gated.
 //
 // Flags: --quick (CI smoke: 4 shards, 400 conns, 0.7 s), --shards N,
-// --conns N, --seconds S, --min-rate R, --select (portable backend,
-// conns clamped under FD_SETSIZE).
+// --conns N, --seconds S, --min-rate R.
 #include <sys/resource.h>
 
 #include <algorithm>
@@ -155,14 +154,11 @@ int run(int argc, char** argv) {
   std::size_t conns = 20000;
   Duration measure = 10 * kSecond;
   double min_rate = 0;  // opt-in throughput gate
-  ReactorBackend backend = Reactor::default_backend();
   bool conns_explicit = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
       if (!conns_explicit) conns = 400;
       measure = 700 * kMillisecond;
-    } else if (std::strcmp(argv[i], "--select") == 0) {
-      backend = ReactorBackend::kSelect;
     } else if (std::strcmp(argv[i], "--shards") == 0 && i + 1 < argc) {
       nshards = static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
     } else if (std::strcmp(argv[i], "--conns") == 0 && i + 1 < argc) {
@@ -176,7 +172,7 @@ int run(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: c100k_soak [--quick] [--shards N] [--conns N] "
-                   "[--seconds S] [--min-rate R] [--select]\n");
+                   "[--seconds S] [--min-rate R]\n");
       return 2;
     }
   }
@@ -198,11 +194,6 @@ int run(int argc, char** argv) {
     std::fprintf(stderr,
                  "c100k_soak: RLIMIT_NOFILE=%llu caps run at %zu conns\n",
                  static_cast<unsigned long long>(rl.rlim_cur), conns);
-  }
-  if (backend == ReactorBackend::kSelect) {
-    // Every shard's select() shares the process fd number space; stay well
-    // below FD_SETSIZE in total.
-    conns = std::min<std::size_t>(conns, 200);
   }
   if (conns < nshards) conns = nshards;
   if (conns == 0) {
@@ -230,7 +221,7 @@ int run(int argc, char** argv) {
   }
   const Endpoint server_ep{"127.0.0.1", ports[conns]};
 
-  ReactorShardPool pool(nshards, backend);
+  ReactorShardPool pool(nshards);
 
   Harness h;
   h.pool = &pool;
@@ -363,8 +354,7 @@ int run(int argc, char** argv) {
     shard_conns.u64(("shard" + std::to_string(s)).c_str(), per_shard_conns[s]);
   }
   bench::JsonWriter w;
-  w.str("backend", backend == ReactorBackend::kEpoll ? "epoll" : "select")
-      .u64("shards", nshards)
+  w.u64("shards", nshards)
       .u64("connections", conns)
       .u64("max_server_conns", max_server_conns)
       .u64("shards_used", shards_used)

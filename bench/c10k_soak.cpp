@@ -6,20 +6,19 @@
 // its own Node + TcpTransport (so each holds a real kernel connection to the
 // server) running a closed loop: call, await reply, call again.
 //
-// This is the workload the select() backend physically cannot run — at 2000
-// connections the fd numbers blow past FD_SETSIZE — and the reason the
-// Reactor grew an epoll backend. The harness verifies scale *and*
+// At 2000 connections the fd numbers blow past FD_SETSIZE, which select()
+// cannot watch — the reason the Reactor waits on epoll. The harness
+// verifies scale *and*
 // correctness: every call must complete exactly once (zero lost, zero
 // duplicated replies), which exercises the fd-generation dispatch guards
 // under thousands of live watchers.
 //
 // Emits one machine-readable JSON line (see EXPERIMENTS.md):
-//   {"bench":"c10k_soak","backend":"epoll","connections":2000,...}
+//   {"bench":"c10k_soak","connections":2000,...}
 // Exit status is non-zero on any lost/duplicated reply or failed call, so
 // bench_smoke (and the EW_SANITIZE lane) gate on it.
 //
-// Flags: --quick (small run for CI), --conns N, --seconds S, --select
-// (portable backend, conns clamped under FD_SETSIZE for comparison runs).
+// Flags: --quick (small run for CI), --conns N, --seconds S.
 #include <sys/resource.h>
 
 #include <algorithm>
@@ -102,14 +101,11 @@ std::uint64_t max_rss_kb() {
 int run(int argc, char** argv) {
   std::size_t conns = 2000;
   Duration measure = 3 * kSecond;
-  ReactorBackend backend = Reactor::default_backend();
   bool conns_explicit = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) {
       if (!conns_explicit) conns = 200;
       measure = 700 * kMillisecond;
-    } else if (std::strcmp(argv[i], "--select") == 0) {
-      backend = ReactorBackend::kSelect;
     } else if (std::strcmp(argv[i], "--conns") == 0 && i + 1 < argc) {
       conns = static_cast<std::size_t>(std::strtoul(argv[++i], nullptr, 10));
       conns_explicit = true;
@@ -118,8 +114,7 @@ int run(int argc, char** argv) {
                                       static_cast<double>(kSecond));
     } else {
       std::fprintf(stderr,
-                   "usage: c10k_soak [--quick] [--conns N] [--seconds S] "
-                   "[--select]\n");
+                   "usage: c10k_soak [--quick] [--conns N] [--seconds S]\n");
       return 2;
     }
   }
@@ -139,10 +134,6 @@ int run(int argc, char** argv) {
     conns = fd_budget / 3;
     std::fprintf(stderr, "c10k_soak: RLIMIT_NOFILE=%llu caps run at %zu conns\n",
                  static_cast<unsigned long long>(rl.rlim_cur), conns);
-  }
-  if (backend == ReactorBackend::kSelect) {
-    // select() cannot watch fds >= FD_SETSIZE; stay well below it.
-    conns = std::min<std::size_t>(conns, 250);
   }
   if (conns == 0) {
     std::fprintf(stderr, "c10k_soak: no fd budget\n");
@@ -168,7 +159,7 @@ int run(int argc, char** argv) {
     }
   }
 
-  Reactor reactor(backend);
+  Reactor reactor;
   TcpTransport server_transport(reactor);
   Node server(reactor, server_transport, Endpoint{"127.0.0.1", ports[conns]});
   if (Status s = server.start(); !s.ok()) {
@@ -251,8 +242,7 @@ int run(int argc, char** argv) {
       secs > 0 ? static_cast<double>(window_completed) / secs : 0;
 
   bench::JsonWriter w;
-  w.str("backend", backend == ReactorBackend::kEpoll ? "epoll" : "select")
-      .u64("connections", conns)
+  w.u64("connections", conns)
       .u64("max_server_conns", max_server_conns)
       .u64("calls", window_completed)
       .u64("lost", lost)

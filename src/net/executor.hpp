@@ -7,7 +7,7 @@
 // TimerQueue (src/net/timer_queue.hpp), a 4-ary heap ordered by
 // (deadline, id):
 //   * sim::EventQueue (src/sim) — virtual time, deterministic,
-//   * Reactor (src/net/reactor.hpp) — real time, epoll or select() readiness.
+//   * Reactor (src/net/reactor.hpp) — real time, epoll readiness.
 #pragma once
 
 #include <cstdint>

@@ -1,36 +1,18 @@
 #include "net/reactor.hpp"
 
-#include <sys/select.h>
+#include <sys/epoll.h>
 #include <unistd.h>
 
-#ifdef __linux__
-#include <sys/epoll.h>
-#endif
-
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <vector>
 
 #include "common/log.hpp"
 
 namespace ew {
 
-ReactorBackend Reactor::default_backend() {
-#ifdef __linux__
-  if (const char* env = std::getenv("EW_REACTOR_BACKEND")) {
-    if (std::strcmp(env, "select") == 0) return ReactorBackend::kSelect;
-  }
-  return ReactorBackend::kEpoll;
-#else
-  return ReactorBackend::kSelect;
-#endif
-}
-
-Reactor::Reactor(ReactorBackend backend) : backend_(backend) {
-#ifndef __linux__
-  backend_ = ReactorBackend::kSelect;  // epoll is Linux-only
-#endif
+Reactor::Reactor() {
   int pipefd[2];
   if (::pipe(pipefd) != 0) {
     throw std::runtime_error("Reactor: pipe() failed");
@@ -39,20 +21,16 @@ Reactor::Reactor(ReactorBackend backend) : backend_(backend) {
   wake_write_ = Fd(pipefd[1]);
   set_nonblocking(wake_read_);
   set_nonblocking(wake_write_);
-#ifdef __linux__
-  if (backend_ == ReactorBackend::kEpoll) {
-    epoll_fd_ = Fd(::epoll_create1(0));
-    if (!epoll_fd_.valid()) {
-      throw std::runtime_error("Reactor: epoll_create1() failed");
-    }
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = wake_read_.get();
-    if (::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_ADD, wake_read_.get(), &ev) != 0) {
-      throw std::runtime_error("Reactor: epoll_ctl(wake pipe) failed");
-    }
+  epoll_fd_ = Fd(::epoll_create1(0));
+  if (!epoll_fd_.valid()) {
+    throw std::runtime_error("Reactor: epoll_create1() failed");
   }
-#endif
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.fd = wake_read_.get();
+  if (::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_ADD, wake_read_.get(), &ev) != 0) {
+    throw std::runtime_error("Reactor: epoll_ctl(wake pipe) failed");
+  }
 }
 
 Reactor::~Reactor() = default;
@@ -72,9 +50,14 @@ TimerId Reactor::schedule(Duration delay, std::function<void()> fn) {
 
 void Reactor::cancel(TimerId id) { timers_.cancel(id); }
 
-void Reactor::add_watcher(std::unordered_map<int, Watcher>& map, int fd,
-                          std::function<void()> cb) {
-  Watcher& w = map[fd];
+Reactor::FdRecord& Reactor::record(int fd) {
+  if (fd < 0) throw std::invalid_argument("Reactor: negative fd");
+  const auto i = static_cast<std::size_t>(fd);
+  if (i >= fds_.size()) fds_.resize(i + 1);
+  return fds_[i];
+}
+
+void Reactor::set_watcher(Watcher& w, std::function<void()> cb) {
   w.cb = std::make_shared<std::function<void()>>(std::move(cb));
   // A fresh generation per registration: readiness observed for a previous
   // tenant of this fd number can no longer reach the new callback.
@@ -82,34 +65,31 @@ void Reactor::add_watcher(std::unordered_map<int, Watcher>& map, int fd,
 }
 
 void Reactor::watch_readable(int fd, std::function<void()> on_readable) {
-  add_watcher(read_watchers_, fd, std::move(on_readable));
+  set_watcher(record(fd).read, std::move(on_readable));
   update_epoll_interest(fd);
 }
 
 void Reactor::watch_writable(int fd, std::function<void()> on_writable) {
-  add_watcher(write_watchers_, fd, std::move(on_writable));
+  set_watcher(record(fd).write, std::move(on_writable));
   update_epoll_interest(fd);
 }
 
 void Reactor::unwatch_readable(int fd) {
-  read_watchers_.erase(fd);
+  record(fd).read = {};
   update_epoll_interest(fd);
 }
 
 void Reactor::unwatch_writable(int fd) {
-  write_watchers_.erase(fd);
+  record(fd).write = {};
   update_epoll_interest(fd);
 }
 
 void Reactor::update_epoll_interest(int fd) {
-#ifdef __linux__
-  if (backend_ != ReactorBackend::kEpoll) return;
+  FdRecord& rec = record(fd);
   std::uint32_t want = 0;
-  if (read_watchers_.contains(fd)) want |= EPOLLIN;
-  if (write_watchers_.contains(fd)) want |= EPOLLOUT;
-  auto it = epoll_interest_.find(fd);
-  const std::uint32_t have = it == epoll_interest_.end() ? 0 : it->second;
-  if (want == have) return;
+  if (rec.read.cb) want |= EPOLLIN;
+  if (rec.write.cb) want |= EPOLLOUT;
+  if (want == rec.interest) return;
 
   epoll_event ev{};
   ev.events = want;
@@ -118,10 +98,10 @@ void Reactor::update_epoll_interest(int fd) {
     // The fd may already be closed (close() drops epoll membership); DEL
     // failing with ENOENT/EBADF is then the expected outcome.
     ::epoll_ctl(epoll_fd_.get(), EPOLL_CTL_DEL, fd, nullptr);
-    epoll_interest_.erase(fd);
+    rec.interest = 0;
     return;
   }
-  int op = have == 0 ? EPOLL_CTL_ADD : EPOLL_CTL_MOD;
+  int op = rec.interest == 0 ? EPOLL_CTL_ADD : EPOLL_CTL_MOD;
   if (::epoll_ctl(epoll_fd_.get(), op, fd, &ev) != 0) {
     // Stale bookkeeping (fd closed and reused behind our back): retry with
     // the complementary op before giving up.
@@ -129,14 +109,11 @@ void Reactor::update_epoll_interest(int fd) {
     if (::epoll_ctl(epoll_fd_.get(), op, fd, &ev) != 0) {
       EW_ERROR << "Reactor: epoll_ctl failed for fd " << fd << ": "
                << std::strerror(errno);
-      epoll_interest_.erase(fd);
+      rec.interest = 0;
       return;
     }
   }
-  epoll_interest_[fd] = want;
-#else
-  (void)fd;
-#endif
+  rec.interest = want;
 }
 
 void Reactor::run() { loop_until(0, /*use_deadline=*/false); }
@@ -170,57 +147,7 @@ void Reactor::drain_wake_pipe() {
   }
 }
 
-bool Reactor::poll_select(Duration wait, std::vector<Ready>& out) {
-  fd_set rfds;
-  fd_set wfds;
-  FD_ZERO(&rfds);
-  FD_ZERO(&wfds);
-  int maxfd = wake_read_.get();
-  FD_SET(wake_read_.get(), &rfds);
-  for (const auto& [fd, w] : read_watchers_) {
-    if (fd >= FD_SETSIZE) {
-      // FD_SET past FD_SETSIZE is an out-of-bounds write, not a soft limit.
-      EW_ERROR << "Reactor[select]: fd " << fd
-               << " >= FD_SETSIZE, not watchable (use the epoll backend)";
-      continue;
-    }
-    FD_SET(fd, &rfds);
-    maxfd = std::max(maxfd, fd);
-  }
-  for (const auto& [fd, w] : write_watchers_) {
-    if (fd >= FD_SETSIZE) {
-      EW_ERROR << "Reactor[select]: fd " << fd
-               << " >= FD_SETSIZE, not watchable (use the epoll backend)";
-      continue;
-    }
-    FD_SET(fd, &wfds);
-    maxfd = std::max(maxfd, fd);
-  }
-  timeval tv{};
-  tv.tv_sec = static_cast<time_t>(wait / kSecond);
-  tv.tv_usec = static_cast<suseconds_t>(wait % kSecond);
-  const int sel = ::select(maxfd + 1, &rfds, &wfds, nullptr, &tv);
-  if (sel < 0) {
-    if (errno == EINTR) return true;
-    EW_ERROR << "Reactor: select failed, stopping";
-    return false;
-  }
-  if (FD_ISSET(wake_read_.get(), &rfds)) drain_wake_pipe();
-  for (const auto& [fd, w] : read_watchers_) {
-    if (fd < FD_SETSIZE && FD_ISSET(fd, &rfds)) {
-      out.push_back(Ready{fd, w.gen, /*writable=*/false});
-    }
-  }
-  for (const auto& [fd, w] : write_watchers_) {
-    if (fd < FD_SETSIZE && FD_ISSET(fd, &wfds)) {
-      out.push_back(Ready{fd, w.gen, /*writable=*/true});
-    }
-  }
-  return true;
-}
-
-bool Reactor::poll_epoll(Duration wait, std::vector<Ready>& out) {
-#ifdef __linux__
+bool Reactor::poll(Duration wait, std::vector<Ready>& out) {
   // Whole-millisecond timeout, rounded up so a 0<wait<1ms timer does not
   // turn the loop into a busy spin.
   int timeout_ms = static_cast<int>((wait + kMillisecond - 1) / kMillisecond);
@@ -239,26 +166,20 @@ bool Reactor::poll_epoll(Duration wait, std::vector<Ready>& out) {
       drain_wake_pipe();
       continue;
     }
+    // Only fds with a record ever enter the interest set, and the table
+    // never shrinks, so `fd` indexes it.
+    const FdRecord& rec = fds_[static_cast<std::size_t>(fd)];
     // EPOLLERR/EPOLLHUP surface through whichever watchers exist so the
-    // owner discovers the error via recv()/getsockopt(SO_ERROR) — the same
-    // behaviour select() gives (failed connects select writable).
-    if (ev & (EPOLLIN | EPOLLERR | EPOLLHUP)) {
-      if (auto it = read_watchers_.find(fd); it != read_watchers_.end()) {
-        out.push_back(Ready{fd, it->second.gen, /*writable=*/false});
-      }
+    // owner discovers the error via recv()/getsockopt(SO_ERROR) (a failed
+    // connect reports writable, as it would under select()).
+    if ((ev & (EPOLLIN | EPOLLERR | EPOLLHUP)) && rec.read.cb) {
+      out.push_back(Ready{fd, rec.read.gen, /*writable=*/false});
     }
-    if (ev & (EPOLLOUT | EPOLLERR | EPOLLHUP)) {
-      if (auto it = write_watchers_.find(fd); it != write_watchers_.end()) {
-        out.push_back(Ready{fd, it->second.gen, /*writable=*/true});
-      }
+    if ((ev & (EPOLLOUT | EPOLLERR | EPOLLHUP)) && rec.write.cb) {
+      out.push_back(Ready{fd, rec.write.gen, /*writable=*/true});
     }
   }
   return true;
-#else
-  (void)wait;
-  (void)out;
-  return false;
-#endif
 }
 
 void Reactor::loop_until(TimePoint deadline, bool use_deadline) {
@@ -275,20 +196,19 @@ void Reactor::loop_until(TimePoint deadline, bool use_deadline) {
     if (use_deadline) wait = std::min(wait, std::max<Duration>(deadline - now, 0));
 
     ready_.clear();
-    const bool ok = backend_ == ReactorBackend::kEpoll ? poll_epoll(wait, ready_)
-                                                       : poll_select(wait, ready_);
-    if (!ok) break;
+    if (!poll(wait, ready_)) break;
 
     // Invoke with re-validation: a callback may close fds, unwatch siblings,
     // or accept a connection that reuses a just-closed fd number. Each ready
     // fact is only honoured if the same registration (fd AND generation) is
     // still present at invoke time.
     for (const Ready& r : ready_) {
-      const auto& map = r.writable ? write_watchers_ : read_watchers_;
-      auto it = map.find(r.fd);
-      if (it == map.end() || it->second.gen != r.gen) continue;  // stale
-      // Hold the callable across the invoke: it may unwatch (erase) itself.
-      const std::shared_ptr<std::function<void()>> cb = it->second.cb;
+      const FdRecord& rec = fds_[static_cast<std::size_t>(r.fd)];
+      const Watcher& w = r.writable ? rec.write : rec.read;
+      if (!w.cb || w.gen != r.gen) continue;  // stale
+      // Hold the callable across the invoke: it may unwatch (reset) itself,
+      // or watch a higher fd and so move the table.
+      const std::shared_ptr<std::function<void()>> cb = w.cb;
       (*cb)();
     }
   }

@@ -7,30 +7,28 @@
 // post() is thread-safe via a self-pipe so examples can feed work from other
 // threads; everything else must run on the reactor thread.
 //
-// Two readiness backends sit behind the same watch/unwatch API:
-//   * kSelect — the paper-faithful portable loop. On Linux FD_SETSIZE is a
-//     hard 1024-fd ceiling (FD_SET past it is an out-of-bounds write), so
-//     fds beyond it are refused with a log line rather than corrupting the
-//     stack.
-//   * kEpoll  — epoll(7), Linux only, no fd ceiling; the backend the c10k
-//     soak and every >1024-connection deployment uses. Level-triggered, so
-//     watcher semantics are identical to select.
-// The default is epoll where available; EW_REACTOR_BACKEND=select|epoll
-// overrides it at process level (useful to run the whole suite over the
-// portable backend).
+// Readiness comes from level-triggered epoll(7), so the real-socket path
+// needs Linux; the simulated path (SimTransport + sim::EventQueue) does not
+// use the Reactor and stays portable. Level-triggered readiness keeps the
+// semantics of the paper's select() loop exactly, without select()'s
+// FD_SETSIZE (1024) ceiling on watchable fd numbers.
 //
-// Dispatch is fd-lifetime safe in both backends: ready callbacks are
-// re-validated against the watcher map (fd + registration generation)
-// immediately before each invoke, so a callback that closes a connection —
-// or accepts a new one reusing the same fd number — cannot cause a queued
-// callback to fire against a dead or reused fd.
+// Watchers live in one table of per-fd records, indexed by fd number (the
+// kernel hands out the lowest free number, so the table stays dense). A
+// record holds the read watcher, the write watcher and the event mask
+// registered with the kernel for that fd.
+//
+// Dispatch is fd-lifetime safe: ready callbacks are re-validated against the
+// table (fd + registration generation) immediately before each invoke, so a
+// callback that closes a connection — or accepts a new one reusing the same
+// fd number — cannot cause a queued callback to fire against a dead or
+// reused fd.
 #pragma once
 
 #include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "common/clock.hpp"
@@ -40,25 +38,17 @@
 
 namespace ew {
 
-enum class ReactorBackend {
-  kSelect,  // portable select() loop, FD_SETSIZE-bounded
-  kEpoll,   // epoll(7); Linux only
-};
+/// The one readiness backend. Only kept so callers that name it still
+/// compile; `Reactor(ReactorBackend::kEpoll)` is the same as `Reactor()`.
+enum class ReactorBackend { kEpoll };
 
 class Reactor final : public Executor {
  public:
-  /// Backend the default constructor picks: kEpoll on Linux unless the
-  /// EW_REACTOR_BACKEND environment variable says otherwise; kSelect
-  /// elsewhere (and when the variable asks for it).
-  static ReactorBackend default_backend();
-
-  Reactor() : Reactor(default_backend()) {}
-  explicit Reactor(ReactorBackend backend);
+  Reactor();
+  explicit Reactor(ReactorBackend) : Reactor() {}
   ~Reactor() override;
   Reactor(const Reactor&) = delete;
   Reactor& operator=(const Reactor&) = delete;
-
-  [[nodiscard]] ReactorBackend backend() const { return backend_; }
 
   [[nodiscard]] const Clock& clock() const override { return clock_; }
   void post(std::function<void()> fn) override;
@@ -66,7 +56,7 @@ class Reactor final : public Executor {
   void cancel(TimerId id) override;
 
   /// Watch a socket; `on_readable` runs on the reactor thread whenever the
-  /// fd becomes readable. One watcher per fd.
+  /// fd becomes readable. One watcher per fd; `fd` must be >= 0.
   void watch_readable(int fd, std::function<void()> on_readable);
   /// Watch for writability (used to flush blocked outboxes and to harvest
   /// asynchronous connect results). One per fd.
@@ -82,15 +72,21 @@ class Reactor final : public Executor {
   void stop();
 
  private:
-  /// A registered callback plus the generation it was registered under.
-  /// The shared_ptr lets dispatch hold the callable alive across an invoke
-  /// that unwatches (and thus erases) its own map entry.
+  /// A registered callback plus the generation it was registered under
+  /// (0 = no watcher). The shared_ptr lets dispatch hold the callable alive
+  /// across an invoke that unwatches (and thus resets) its own watcher.
   struct Watcher {
     std::shared_ptr<std::function<void()>> cb;
     std::uint64_t gen = 0;
   };
-  /// One readiness fact from the backend, pinned to the registration it was
-  /// observed for. Validated against the live map right before invoking.
+  /// Everything the Reactor knows about one fd number.
+  struct FdRecord {
+    Watcher read;
+    Watcher write;
+    std::uint32_t interest = 0;  // EPOLL* mask registered with the kernel
+  };
+  /// One readiness fact from epoll, pinned to the registration it was
+  /// observed for. Validated against the live table right before invoking.
   struct Ready {
     int fd = -1;
     std::uint64_t gen = 0;
@@ -100,29 +96,26 @@ class Reactor final : public Executor {
   void loop_until(TimePoint deadline, bool use_deadline);
   /// Run posted fns and due timers; returns the next timer deadline (or -1).
   TimePoint drain_ready();
-  /// Backend poll: block up to `wait`, append readiness facts to `out`.
-  /// Returns false on an unrecoverable poll error (loop should stop).
-  bool poll_select(Duration wait, std::vector<Ready>& out);
-  bool poll_epoll(Duration wait, std::vector<Ready>& out);
+  /// Block up to `wait`, append readiness facts to `out`. Returns false on
+  /// an unrecoverable poll error (loop should stop).
+  bool poll(Duration wait, std::vector<Ready>& out);
   void drain_wake_pipe();
-  /// (epoll) reconcile the kernel interest set for `fd` with the watcher
-  /// maps after a watch/unwatch.
+  /// `fd`'s record, growing the table to reach it.
+  FdRecord& record(int fd);
+  void set_watcher(Watcher& w, std::function<void()> cb);
+  /// Reconcile the kernel interest set for `fd` with its record after a
+  /// watch/unwatch.
   void update_epoll_interest(int fd);
-  void add_watcher(std::unordered_map<int, Watcher>& map, int fd,
-                   std::function<void()> cb);
 
   RealClock clock_;
-  ReactorBackend backend_;
   Fd wake_read_;
   Fd wake_write_;
-  Fd epoll_fd_;  // valid only under kEpoll
+  Fd epoll_fd_;
   std::mutex post_mutex_;
   std::deque<std::function<void()>> posted_;
   TimerQueue<> timers_;
   std::uint64_t next_watch_gen_ = 1;
-  std::unordered_map<int, Watcher> read_watchers_;
-  std::unordered_map<int, Watcher> write_watchers_;
-  std::unordered_map<int, std::uint32_t> epoll_interest_;  // fd -> EPOLL* mask
+  std::vector<FdRecord> fds_;  // indexed by fd number; never shrinks
   std::vector<Ready> ready_;  // reused across iterations
   bool stop_requested_ = false;
 };

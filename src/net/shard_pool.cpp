@@ -5,14 +5,11 @@
 
 namespace ew {
 
-ReactorShardPool::ReactorShardPool(std::size_t n)
-    : ReactorShardPool(n, Reactor::default_backend()) {}
-
-ReactorShardPool::ReactorShardPool(std::size_t n, ReactorBackend backend) {
+ReactorShardPool::ReactorShardPool(std::size_t n) {
   if (n == 0) n = 1;
   shards_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    shards_.push_back(std::make_unique<Reactor>(backend));
+    shards_.push_back(std::make_unique<Reactor>());
   }
 }
 

@@ -35,10 +35,9 @@ namespace ew {
 
 class ReactorShardPool {
  public:
-  /// Create `n` reactors (n >= 1, clamped) using the default backend, or an
-  /// explicit one. Reactors exist immediately; threads start with start().
+  /// Create `n` reactors (n >= 1, clamped). Reactors exist immediately;
+  /// threads start with start().
   explicit ReactorShardPool(std::size_t n);
-  ReactorShardPool(std::size_t n, ReactorBackend backend);
   ~ReactorShardPool();
   ReactorShardPool(const ReactorShardPool&) = delete;
   ReactorShardPool& operator=(const ReactorShardPool&) = delete;

@@ -1,5 +1,5 @@
-// Tests for the real-time side of the lingua franca: the Reactor (both the
-// select and epoll backends) and TCP transport over localhost.
+// Tests for the real-time side of the lingua franca: the Reactor (epoll
+// readiness, one per-fd watcher table) and TCP transport over localhost.
 #include <gtest/gtest.h>
 #include <fcntl.h>
 #include <sys/resource.h>
@@ -22,14 +22,6 @@ namespace ew {
 namespace {
 
 std::uint16_t pick_port(const Fd& listener) { return *local_port(listener); }
-
-std::vector<ReactorBackend> all_backends() {
-#ifdef __linux__
-  return {ReactorBackend::kSelect, ReactorBackend::kEpoll};
-#else
-  return {ReactorBackend::kSelect};
-#endif
-}
 
 /// Milliseconds of wall clock consumed by `fn`.
 template <typename F>
@@ -304,26 +296,10 @@ TEST(TcpTransport, SendToDeadPortTearsDownWithoutBlocking) {
   EXPECT_EQ(transport.queued_bytes(), 0u);
 }
 
-// --- Reactor backends & fd-lifetime safety ------------------------------------
-
-TEST(Reactor, DefaultBackendIsEpollOnLinux) {
-#ifdef __linux__
-  if (const char* env = std::getenv("EW_REACTOR_BACKEND");
-      env != nullptr && std::string(env) == "select") {
-    GTEST_SKIP() << "EW_REACTOR_BACKEND=select override active";
-  }
-  EXPECT_EQ(Reactor().backend(), ReactorBackend::kEpoll);
-#else
-  EXPECT_EQ(Reactor().backend(), ReactorBackend::kSelect);
-#endif
-}
+// --- Reactor epoll readiness & fd-lifetime safety -----------------------------
 
 TEST(Reactor, EpollBackendTimersAndWatchers) {
-#ifndef __linux__
-  GTEST_SKIP() << "epoll is Linux-only";
-#else
-  Reactor r(ReactorBackend::kEpoll);
-  ASSERT_EQ(r.backend(), ReactorBackend::kEpoll);
+  Reactor r;
   std::vector<int> order;
   r.schedule(20 * kMillisecond, [&] { order.push_back(2); });
   r.schedule(10 * kMillisecond, [&] { order.push_back(1); });
@@ -342,7 +318,6 @@ TEST(Reactor, EpollBackendTimersAndWatchers) {
   r.unwatch_readable(pipefd[0]);
   ::close(pipefd[0]);
   ::close(pipefd[1]);
-#endif
 }
 
 TEST(Reactor, StaleReadyCallbackNotInvokedAfterUnwatch) {
@@ -350,41 +325,39 @@ TEST(Reactor, StaleReadyCallbackNotInvokedAfterUnwatch) {
   // unwatches and closes the other. The queued readiness fact for the
   // closed fd is stale and must be skipped — in the old code it fired
   // against a dead fd (and, after accept-reuse, against the WRONG fd).
-  for (ReactorBackend backend : all_backends()) {
-    Reactor r(backend);
-    int p1[2], p2[2];
-    ASSERT_EQ(::pipe(p1), 0);
-    ASSERT_EQ(::pipe(p2), 0);
-    ASSERT_EQ(::write(p1[1], "x", 1), 1);
-    ASSERT_EQ(::write(p2[1], "x", 1), 1);
-    int fired1 = 0, fired2 = 0;
-    bool closed1 = false, closed2 = false;
-    r.watch_readable(p1[0], [&] {
-      ++fired1;
-      r.unwatch_readable(p1[0]);
-      if (!closed2) {
-        r.unwatch_readable(p2[0]);
-        ::close(p2[0]);
-        closed2 = true;
-      }
-    });
-    r.watch_readable(p2[0], [&] {
-      ++fired2;
+  Reactor r;
+  int p1[2], p2[2];
+  ASSERT_EQ(::pipe(p1), 0);
+  ASSERT_EQ(::pipe(p2), 0);
+  ASSERT_EQ(::write(p1[1], "x", 1), 1);
+  ASSERT_EQ(::write(p2[1], "x", 1), 1);
+  int fired1 = 0, fired2 = 0;
+  bool closed1 = false, closed2 = false;
+  r.watch_readable(p1[0], [&] {
+    ++fired1;
+    r.unwatch_readable(p1[0]);
+    if (!closed2) {
       r.unwatch_readable(p2[0]);
-      if (!closed1) {
-        r.unwatch_readable(p1[0]);
-        ::close(p1[0]);
-        closed1 = true;
-      }
-    });
-    r.run_for(50 * kMillisecond);
-    // Exactly one of the two fired; the other's queued callback was stale.
-    EXPECT_EQ(fired1 + fired2, 1) << "backend " << static_cast<int>(backend);
-    if (!closed1) ::close(p1[0]);
-    if (!closed2) ::close(p2[0]);
-    ::close(p1[1]);
-    ::close(p2[1]);
-  }
+      ::close(p2[0]);
+      closed2 = true;
+    }
+  });
+  r.watch_readable(p2[0], [&] {
+    ++fired2;
+    r.unwatch_readable(p2[0]);
+    if (!closed1) {
+      r.unwatch_readable(p1[0]);
+      ::close(p1[0]);
+      closed1 = true;
+    }
+  });
+  r.run_for(50 * kMillisecond);
+  // Exactly one of the two fired; the other's queued callback was stale.
+  EXPECT_EQ(fired1 + fired2, 1);
+  if (!closed1) ::close(p1[0]);
+  if (!closed2) ::close(p2[0]);
+  ::close(p1[1]);
+  ::close(p2[1]);
 }
 
 TEST(Reactor, ReadyFactForAReusedFdNumberIsSkipped) {
@@ -393,56 +366,50 @@ TEST(Reactor, ReadyFactForAReusedFdNumberIsSkipped) {
   // that same fd number and watches it. The queued readiness fact for the
   // number belongs to the closed pipe's registration: only the generation
   // check keeps it from reaching the new callback.
-  for (ReactorBackend backend : all_backends()) {
-    Reactor r(backend);
-    int p1[2], p2[2], fresh[2];
-    ASSERT_EQ(::pipe(p1), 0);
-    ASSERT_EQ(::pipe(p2), 0);
-    // Non-blocking, so a callback that wrongly runs on it does not hang.
-    ASSERT_EQ(::pipe2(fresh, O_NONBLOCK), 0);
-    ASSERT_EQ(::write(p1[1], "x", 1), 1);
-    ASSERT_EQ(::write(p2[1], "x", 1), 1);
-    int fired_old = 0, fired_new = 0;
-    int reused = -1;  // the fd number now naming fresh's read end
-    auto first = [&](int self, int other) {
-      ++fired_old;
-      r.unwatch_readable(self);
-      if (reused >= 0) return;
-      r.unwatch_readable(other);
-      ::close(other);
-      reused = ::dup2(fresh[0], other);
-      ::close(fresh[0]);
-      r.watch_readable(reused, [&] {
-        ++fired_new;
-        char buf[4];
-        [[maybe_unused]] ssize_t n = ::read(reused, buf, sizeof(buf));
-      });
-    };
-    r.watch_readable(p1[0], [&] { first(p1[0], p2[0]); });
-    r.watch_readable(p2[0], [&] { first(p2[0], p1[0]); });
-    r.run_for(50 * kMillisecond);
-    ASSERT_TRUE(reused == p1[0] || reused == p2[0])
-        << "backend " << static_cast<int>(backend);
-    EXPECT_EQ(fired_old, 1) << "backend " << static_cast<int>(backend);
-    EXPECT_EQ(fired_new, 0) << "backend " << static_cast<int>(backend);
-    // The new registration reached the kernel: data on the fresh pipe
-    // wakes its callback, exactly once.
-    ASSERT_EQ(::write(fresh[1], "y", 1), 1);
-    r.run_for(50 * kMillisecond);
-    EXPECT_EQ(fired_new, 1) << "backend " << static_cast<int>(backend);
-    r.unwatch_readable(reused);
-    ::close(p1[0] == reused ? p2[0] : p1[0]);
-    ::close(reused);
-    ::close(p1[1]);
-    ::close(p2[1]);
-    ::close(fresh[1]);
-  }
+  Reactor r;
+  int p1[2], p2[2], fresh[2];
+  ASSERT_EQ(::pipe(p1), 0);
+  ASSERT_EQ(::pipe(p2), 0);
+  // Non-blocking, so a callback that wrongly runs on it does not hang.
+  ASSERT_EQ(::pipe2(fresh, O_NONBLOCK), 0);
+  ASSERT_EQ(::write(p1[1], "x", 1), 1);
+  ASSERT_EQ(::write(p2[1], "x", 1), 1);
+  int fired_old = 0, fired_new = 0;
+  int reused = -1;  // the fd number now naming fresh's read end
+  auto first = [&](int self, int other) {
+    ++fired_old;
+    r.unwatch_readable(self);
+    if (reused >= 0) return;
+    r.unwatch_readable(other);
+    ::close(other);
+    reused = ::dup2(fresh[0], other);
+    ::close(fresh[0]);
+    r.watch_readable(reused, [&] {
+      ++fired_new;
+      char buf[4];
+      [[maybe_unused]] ssize_t n = ::read(reused, buf, sizeof(buf));
+    });
+  };
+  r.watch_readable(p1[0], [&] { first(p1[0], p2[0]); });
+  r.watch_readable(p2[0], [&] { first(p2[0], p1[0]); });
+  r.run_for(50 * kMillisecond);
+  ASSERT_TRUE(reused == p1[0] || reused == p2[0]);
+  EXPECT_EQ(fired_old, 1);
+  EXPECT_EQ(fired_new, 0);
+  // The new registration reached the kernel: data on the fresh pipe
+  // wakes its callback, exactly once.
+  ASSERT_EQ(::write(fresh[1], "y", 1), 1);
+  r.run_for(50 * kMillisecond);
+  EXPECT_EQ(fired_new, 1);
+  r.unwatch_readable(reused);
+  ::close(p1[0] == reused ? p2[0] : p1[0]);
+  ::close(reused);
+  ::close(p1[1]);
+  ::close(p2[1]);
+  ::close(fresh[1]);
 }
 
 TEST(Reactor, EpollHandlesOver1024Fds) {
-#ifndef __linux__
-  GTEST_SKIP() << "epoll is Linux-only";
-#else
   rlimit rl{};
   ASSERT_EQ(getrlimit(RLIMIT_NOFILE, &rl), 0);
   if (rl.rlim_cur < rl.rlim_max) {
@@ -453,7 +420,7 @@ TEST(Reactor, EpollHandlesOver1024Fds) {
   if (rl.rlim_cur < 2500) {
     GTEST_SKIP() << "RLIMIT_NOFILE too low: " << rl.rlim_cur;
   }
-  Reactor r(ReactorBackend::kEpoll);
+  Reactor r;
   constexpr int kPipes = 1100;  // read ends alone blow past FD_SETSIZE
   std::vector<std::array<int, 2>> pipes(kPipes);
   int beyond_setsize = 0;
@@ -481,7 +448,6 @@ TEST(Reactor, EpollHandlesOver1024Fds) {
     ::close(p[0]);
     ::close(p[1]);
   }
-#endif
 }
 
 // --- TCP edge paths -----------------------------------------------------------
