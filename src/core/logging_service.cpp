@@ -10,11 +10,6 @@ void LoggingServer::start() {
                  on_record(m);
                  r.ok();  // records usually arrive one-way; ok() is a no-op then
                });
-  node_.handle(msgtype::kMetricsSnapshot,
-               [this](const IncomingMessage& m, Responder r) {
-                 on_snapshot(m);
-                 r.ok();
-               });
 }
 
 void LoggingServer::stop() { running_ = false; }
@@ -36,20 +31,6 @@ void LoggingServer::on_record(const IncomingMessage& msg) {
   recent_.push_back(*rec);
   while (recent_.size() > opts_.retain_records) recent_.pop_front();
   if (sink_) sink_(*rec);
-}
-
-void LoggingServer::on_snapshot(const IncomingMessage& msg) {
-  auto snap = MetricsSnapshot::deserialize(msg.packet.payload);
-  if (!snap) {
-    ++malformed_;
-    return;
-  }
-  ++snapshots_received_;
-  recent_snapshots_.push_back(*snap);
-  while (recent_snapshots_.size() > opts_.retain_snapshots) {
-    recent_snapshots_.pop_front();
-  }
-  if (snapshot_sink_) snapshot_sink_(*snap);
 }
 
 }  // namespace ew::core

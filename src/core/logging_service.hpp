@@ -7,10 +7,7 @@
 // LoggingServer accepts one-way kLogRecord messages, keeps bounded storage
 // (a ring of recent records plus running per-infrastructure totals), and
 // feeds an optional sink — the benchmark harness installs one to build the
-// 5-minute-average series of Figures 2-4. It also accepts kMetricsSnapshot
-// records: whole obs::Registry JSON documents posted by remote nodes, kept
-// in their own bounded ring so one logging host can answer "what does the
-// fleet's telemetry look like" without growing unboundedly.
+// 5-minute-average series of Figures 2-4.
 #pragma once
 
 #include <array>
@@ -25,11 +22,9 @@ namespace ew::core {
 class LoggingServer {
  public:
   using Sink = std::function<void(const LogRecord&)>;
-  using SnapshotSink = std::function<void(const MetricsSnapshot&)>;
 
   struct Options {
     std::size_t retain_records = 10'000;  // bounded footprint (Section 3.1.2)
-    std::size_t retain_snapshots = 256;   // metrics documents kept
   };
 
   explicit LoggingServer(Node& node) : LoggingServer(node, Options{}) {}
@@ -39,9 +34,6 @@ class LoggingServer {
   void stop();
 
   void set_sink(Sink sink) { sink_ = std::move(sink); }
-  void set_snapshot_sink(SnapshotSink sink) {
-    snapshot_sink_ = std::move(sink);
-  }
 
   [[nodiscard]] std::uint64_t records_received() const { return received_; }
   [[nodiscard]] std::uint64_t malformed() const { return malformed_; }
@@ -52,28 +44,17 @@ class LoggingServer {
   [[nodiscard]] std::uint64_t total_ops() const;
   [[nodiscard]] const std::deque<LogRecord>& recent() const { return recent_; }
 
-  [[nodiscard]] std::uint64_t snapshots_received() const {
-    return snapshots_received_;
-  }
-  [[nodiscard]] const std::deque<MetricsSnapshot>& recent_snapshots() const {
-    return recent_snapshots_;
-  }
-
  private:
   void on_record(const IncomingMessage& msg);
-  void on_snapshot(const IncomingMessage& msg);
 
   Node& node_;
   Options opts_;
   Sink sink_;
-  SnapshotSink snapshot_sink_;
   bool running_ = false;
   std::uint64_t received_ = 0;
   std::uint64_t malformed_ = 0;
-  std::uint64_t snapshots_received_ = 0;
   std::array<std::uint64_t, kInfraCount> totals_{};
   std::deque<LogRecord> recent_;
-  std::deque<MetricsSnapshot> recent_snapshots_;
 };
 
 }  // namespace ew::core

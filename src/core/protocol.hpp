@@ -36,7 +36,10 @@ constexpr MsgType kStateStore = 0x0210;
 constexpr MsgType kStateFetch = 0x0211;
 // Logging service (one-way).
 constexpr MsgType kLogRecord = 0x0220;
-constexpr MsgType kMetricsSnapshot = 0x0221;  // obs registry snapshot (JSON)
+// RETIRED: 0x0221 was kMetricsSnapshot, a push-only obs registry snapshot
+// that nothing sent. The constant is kept so the id is never reassigned; no
+// handler is registered for it.
+constexpr MsgType kMetricsSnapshot = 0x0221;
 // Simulated Globus services (Section 5.2).
 constexpr MsgType kGramSubmit = 0x0230;
 constexpr MsgType kGramAuth = 0x0231;
@@ -179,25 +182,6 @@ struct LogRecord {
   [[nodiscard]] Bytes serialize() const { return wire::encode(*this); }
   static Result<LogRecord> deserialize(const Bytes& data) {
     return wire::decode<LogRecord>(data);
-  }
-};
-
-/// A whole obs::Registry snapshot shipped off-host, the paper's "limit and
-/// control the storage load" pattern applied to telemetry: components
-/// periodically post their counters to the logging service instead of
-/// growing them locally forever.
-struct MetricsSnapshot {
-  TimePoint when = 0;    // stamped by the reporter
-  Endpoint source;       // the node whose registry this is
-  std::string json;      // obs::snapshot_json() document
-
-  template <class Ar>
-  void fields(Ar& ar) {
-    ar(when, source, json);
-  }
-  [[nodiscard]] Bytes serialize() const { return wire::encode(*this); }
-  static Result<MetricsSnapshot> deserialize(const Bytes& data) {
-    return wire::decode<MetricsSnapshot>(data);
   }
 };
 

@@ -85,6 +85,21 @@ TEST_F(LoggingTest, SinkInvokedPerRecord) {
   EXPECT_EQ(sunk, 2);
 }
 
+TEST_F(LoggingTest, RetiredMetricsSnapshotIdIsUnhandled) {
+  // 0x0221 no longer has a handler: a call at it is rejected and touches
+  // neither the record counters nor the malformed count.
+  LoggingServer logging(node_);
+  logging.start();
+  bool rejected = false;
+  sender_.call(node_.self(), msgtype::kMetricsSnapshot, Bytes{1, 2, 3},
+               CallOptions::fixed(kSecond),
+               [&rejected](Result<Bytes> r) { rejected = !r.ok(); });
+  events_.run_for(5 * kSecond);
+  EXPECT_TRUE(rejected);
+  EXPECT_EQ(logging.records_received(), 0u);
+  EXPECT_EQ(logging.malformed(), 0u);
+}
+
 // --- Client behaviour on a saturated host -----------------------------------------
 
 TEST_F(LoggingTest, ClientIdlesWhileHostSaturatedThenResumes) {

@@ -79,9 +79,6 @@ const std::map<std::string, Golden>& pins() {
       {"core.LogRecord",
        {"40e2010000000000060000006e6f64652d625a1b0606000000686f73742d32e803000000000000280000000000000001",
         0xed5a3b45e730c3aaULL}},
-      {"core.MetricsSnapshot",
-       {"6300000000000000060000006e6f64652d635b1b070000007b2261223a317d",
-        0x670a7fd43f4be470ULL}},
       {"core.StoreRequest",
        {"1000000072616d7365792f626573742f31372f3403000000010203",
         0xabf342c2fdda20f2ULL}},

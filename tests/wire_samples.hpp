@@ -151,7 +151,6 @@ void for_each_sample(F&& f) {
   log.best_energy = 40;
   log.found = true;
   f("core.LogRecord", log);
-  f("core.MetricsSnapshot", core::MetricsSnapshot{99, c, "{\"a\":1}"});
   f("core.StoreRequest", core::StoreRequest{"ramsey/best/17/4", Bytes{1, 2, 3}});
   core::ServerList servers;
   servers.merge(core::ServerEntry{a, 5});
