@@ -7,11 +7,10 @@
 // server) running a closed loop: call, await reply, call again.
 //
 // At 2000 connections the fd numbers blow past FD_SETSIZE, which select()
-// cannot watch — the reason the Reactor waits on epoll. The harness
-// verifies scale *and*
-// correctness: every call must complete exactly once (zero lost, zero
-// duplicated replies), which exercises the fd-generation dispatch guards
-// under thousands of live watchers.
+// cannot watch — the reason the Reactor waits on epoll. The harness verifies
+// scale *and* correctness: every call must complete exactly once (zero lost,
+// zero duplicated replies), which exercises the fd-generation dispatch
+// guards under thousands of live watchers.
 //
 // Emits one machine-readable JSON line (see EXPERIMENTS.md):
 //   {"bench":"c10k_soak","connections":2000,...}
