@@ -103,6 +103,7 @@ void TcpTransport::account_conns(double delta) {
 }
 
 Status TcpTransport::bind(const Endpoint& self, PacketHandler handler) {
+  if (!self.valid()) return Status(Err::kRejected, "invalid endpoint");
   if (listeners_.contains(self)) {
     return Status(Err::kRejected, "endpoint already bound: " + self.to_string());
   }

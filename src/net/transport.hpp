@@ -31,7 +31,8 @@ class Transport {
   virtual ~Transport() = default;
 
   /// Start receiving for `self`; `handler` is invoked on the transport's
-  /// executor thread for every delivered packet. Binding an endpoint twice
+  /// executor thread for every delivered packet, never inside send().
+  /// Binding an endpoint twice, or an invalid one (empty host or port 0),
   /// returns kRejected.
   virtual Status bind(const Endpoint& self, PacketHandler handler) = 0;
 
