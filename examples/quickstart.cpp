@@ -5,23 +5,29 @@
 // and four computational clients running the REAL search heuristics on
 // K_17 / K_4 — the R(4,4) problem, whose unique counter-example (the Paley
 // graph of order 17) the heuristics find in seconds. Everything runs on the
-// deterministic in-process transport; swap in TcpTransport + Reactor and the
-// same components run across machines (see examples/gossip_cluster.cpp).
+// deterministic simulated transport over a quiet network (no loss, no
+// jitter, zero latency); swap in TcpTransport + Reactor and the same
+// components run across machines (see examples/gossip_cluster.cpp).
 #include <cstdio>
 
 #include "core/client.hpp"
 #include "core/logging_service.hpp"
 #include "core/persistent_state.hpp"
 #include "core/scheduler.hpp"
-#include "net/inproc_transport.hpp"
 #include "ramsey/clique.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/network_model.hpp"
+#include "sim/sim_transport.hpp"
 
 using namespace ew;
 
 int main() {
   sim::EventQueue events;
-  InProcTransport transport(events);
+  sim::NetworkModel net(Rng(1));
+  net.set_loss_rate(0.0);
+  net.set_jitter_sigma(0.0);
+  net.set_default_latencies(0, 0);
+  sim::SimTransport transport(events, net);
 
   // --- Services -----------------------------------------------------------
   Node sched_node(events, transport, Endpoint{"scheduler", 601});

@@ -12,7 +12,6 @@ constexpr std::uint16_t kStatePort = 402;
 constexpr std::uint16_t kControlPort = 403;
 constexpr std::uint16_t kGossipPort = 501;
 constexpr std::uint16_t kSchedulerPort = 601;
-constexpr std::uint16_t kWishPort = 701;
 const char* kControlHost = "sdsc-control";
 
 int scaled(int count, double scale) {
@@ -34,10 +33,6 @@ Sc98Scenario::~Sc98Scenario() {
     if (g->server) g->server->stop();
     if (g->node) g->node->stop();
   }
-  for (auto& w : wish_units_) {
-    if (w->daemon) w->daemon->stop();
-    if (w->node) w->node->stop();
-  }
   for (auto& a : adapters_) a->stop();
 }
 
@@ -57,14 +52,6 @@ std::vector<Endpoint> Sc98Scenario::gossip_endpoints() const {
   return out;
 }
 
-std::vector<Endpoint> Sc98Scenario::wish_endpoints() const {
-  std::vector<Endpoint> out;
-  for (int i = 0; i < opts_.num_wish_daemons; ++i) {
-    out.push_back(Endpoint{"wish-" + std::to_string(i), kWishPort});
-  }
-  return out;
-}
-
 void Sc98Scenario::build_network() {
   // Service placement mirrors the paper: the persistent state manager at
   // SDSC ("trusted environment"), gossips at well-known addresses around
@@ -79,12 +66,6 @@ void Sc98Scenario::build_network() {
   for (int i = 0; i < opts_.num_schedulers; ++i) {
     network_.set_site("sched-" + std::to_string(i),
                       opts_.schedulers_in_condor ? "condor" : sched_sites[i % 3]);
-  }
-  // WISH daemons spread across the paper's sites like the gossips, so the
-  // shell's collectives genuinely cross the wide area.
-  const char* wish_sites[] = {"sdsc", "ncsa", "utk", "condor"};
-  for (int i = 0; i < opts_.num_wish_daemons; ++i) {
-    network_.set_site("wish-" + std::to_string(i), wish_sites[i % 4]);
   }
 }
 
@@ -191,21 +172,6 @@ void Sc98Scenario::build_chaos() {
               unit->server->start();
             }});
   }
-  for (auto& up : wish_units_) {
-    auto* unit = up.get();
-    chaos_->register_process(
-        unit->host,
-        sim::ChaosEngine::Process{
-            [unit] {
-              // Crash-stop: the job table, barrier groups and leader wins
-              // die here; only the env store's gossip replicas survive.
-              if (unit->daemon) unit->daemon->stop();
-              if (unit->node) unit->node->crash();
-              unit->daemon.reset();
-              unit->node.reset();
-            },
-            [this, unit] { start_wish(*unit); }});
-  }
   // The control site's logging + state services crash and restart as one
   // process; the state manager reloads from state_storage_dir on restart.
   chaos_->register_process(
@@ -243,26 +209,6 @@ core::PersistentStateManager* Sc98Scenario::state_manager() {
   return state_ ? &*state_ : nullptr;
 }
 
-wish::WishDaemon* Sc98Scenario::wish_daemon(int i) {
-  if (i < 0 || static_cast<std::size_t>(i) >= wish_units_.size()) return nullptr;
-  auto& unit = *wish_units_[static_cast<std::size_t>(i)];
-  return unit.daemon ? &*unit.daemon : nullptr;
-}
-
-void Sc98Scenario::start_wish(WishUnit& unit) {
-  unit.node.emplace(events_, transport_, Endpoint{unit.host, kWishPort});
-  if (Status s = unit.node->start(); !s.ok()) {
-    EW_ERROR << "wish bind failed: " << s.to_string();
-    return;
-  }
-  wish::WishDaemon::Options wopts;
-  wopts.incarnation = ++unit.incarnation;  // job ids can never collide across restarts
-  wopts.peers = wish_endpoints();
-  wopts.gossips = gossip_endpoints();
-  unit.daemon.emplace(*unit.node, comparators_, wopts);
-  unit.daemon->start();
-}
-
 void Sc98Scenario::start_control_services() {
   logging_node_.emplace(events_, transport_, Endpoint{kControlHost, kLoggingPort});
   logging_node_->start();
@@ -298,13 +244,6 @@ void Sc98Scenario::build_services() {
     unit->server->start();
     gossips_.push_back(std::move(unit));
   }
-
-  for (int i = 0; i < opts_.num_wish_daemons; ++i) {
-    auto unit = std::make_unique<WishUnit>();
-    unit->host = "wish-" + std::to_string(i);
-    wish_units_.push_back(std::move(unit));
-  }
-  for (auto& unit : wish_units_) start_wish(*unit);
 
   for (int i = 0; i < opts_.num_schedulers; ++i) {
     auto unit = std::make_unique<SchedulerUnit>();

@@ -41,7 +41,6 @@
 #include "sim/network_model.hpp"
 #include "sim/sim_transport.hpp"
 #include "sim/traces.hpp"
-#include "wish/daemon.hpp"
 
 namespace ew::app {
 
@@ -72,11 +71,6 @@ struct ScenarioOptions {
 
   int num_schedulers = 3;
   int num_gossips = 4;
-  /// WISH interactive-shell daemons ("wish-N", port 701). 0 = subsystem off
-  /// (the default; the 12-hour Figure runs are unchanged). When present the
-  /// daemons sync the global environment through the gossip pool, and the
-  /// chaos plan may target their hosts for crash/restart.
-  int num_wish_daemons = 0;
   /// Child cliques the gossip pool shards into (1 = flat, the default — the
   /// chaos replay tests pin the single-shard trace bit-for-bit).
   int num_gossip_cliques = 1;
@@ -147,8 +141,6 @@ class Sc98Scenario {
   [[nodiscard]] core::SchedulerServer* scheduler_server(int i);
   [[nodiscard]] gossip::GossipServer* gossip_server(int i);
   [[nodiscard]] core::PersistentStateManager* state_manager();
-  /// Null when i is crashed or num_wish_daemons didn't cover it.
-  [[nodiscard]] wish::WishDaemon* wish_daemon(int i);
 
  private:
   struct SchedulerUnit {
@@ -162,13 +154,6 @@ class Sc98Scenario {
     std::uint64_t dead_total = 0;
   };
 
-  struct WishUnit {
-    std::string host;
-    std::uint64_t incarnation = 0;  // monotonic across chaos restarts
-    std::optional<Node> node;
-    std::optional<wish::WishDaemon> daemon;
-  };
-
   void build_network();
   void build_services();
   void build_adapters();
@@ -178,13 +163,11 @@ class Sc98Scenario {
   void stop_scheduler(SchedulerUnit& unit);
   void crash_scheduler(SchedulerUnit& unit);
   void start_control_services();
-  void start_wish(WishUnit& unit);
   void schedule_spike();
   void schedule_host_sampling();
   core::SchedulerServer::Options scheduler_options(int index) const;
   [[nodiscard]] std::vector<Endpoint> scheduler_endpoints() const;
   [[nodiscard]] std::vector<Endpoint> gossip_endpoints() const;
-  [[nodiscard]] std::vector<Endpoint> wish_endpoints() const;
 
   ScenarioOptions opts_;
   sim::EventQueue events_;
@@ -209,7 +192,6 @@ class Sc98Scenario {
     std::optional<gossip::GossipServer> server;
   };
   std::vector<std::unique_ptr<GossipUnit>> gossips_;
-  std::vector<std::unique_ptr<WishUnit>> wish_units_;
   std::optional<sim::ChaosEngine> chaos_;
   // Figure-1 auxiliary services: NWS monitoring stations and the
   // volatile-but-replicated server directory, both on the §6 framework.

@@ -36,8 +36,6 @@ double RunningStats::cv() const {
   return mean_ == 0.0 ? 0.0 : stddev() / std::abs(mean_);
 }
 
-void RunningStats::reset() { *this = RunningStats{}; }
-
 SlidingWindow::SlidingWindow(std::size_t capacity) : capacity_(capacity) {
   if (capacity == 0) throw std::invalid_argument("SlidingWindow: zero capacity");
 }

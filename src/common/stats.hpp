@@ -26,7 +26,6 @@ class RunningStats {
   [[nodiscard]] double max() const { return n_ ? max_ : 0.0; }
   /// Coefficient of variation (stddev / mean); 0 when mean is 0.
   [[nodiscard]] double cv() const;
-  void reset();
 
  private:
   std::size_t n_ = 0;

@@ -44,13 +44,6 @@ std::vector<ServerEntry> ServerList::entries() const {
   return out;
 }
 
-std::vector<Endpoint> ServerList::servers() const {
-  std::vector<Endpoint> out;
-  out.reserve(map_.size());
-  for (const auto& [server, beat] : map_) out.push_back(server);
-  return out;
-}
-
 int ServerList::compare(const Bytes& a, const Bytes& b) {
   const auto la = deserialize(a);
   const auto lb = deserialize(b);

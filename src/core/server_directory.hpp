@@ -46,7 +46,6 @@ class ServerList {
   void prune(std::uint64_t max_lag);
 
   [[nodiscard]] std::vector<ServerEntry> entries() const;
-  [[nodiscard]] std::vector<Endpoint> servers() const;
   [[nodiscard]] bool contains(const Endpoint& e) const { return map_.contains(e); }
   [[nodiscard]] std::size_t size() const { return map_.size(); }
 

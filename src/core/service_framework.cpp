@@ -4,8 +4,6 @@
 
 namespace ew::core {
 
-Node& ServiceContext::node() { return fw_.node_; }
-Executor& ServiceContext::executor() { return fw_.exec_; }
 TimePoint ServiceContext::now() { return fw_.exec_.now(); }
 const Endpoint& ServiceContext::self() { return fw_.node_.self(); }
 

@@ -31,8 +31,6 @@ class ServiceFramework;
 /// framework.
 class ServiceContext {
  public:
-  [[nodiscard]] Node& node();
-  [[nodiscard]] Executor& executor();
   [[nodiscard]] TimePoint now();
   [[nodiscard]] const Endpoint& self();
 

@@ -39,10 +39,7 @@ class NetSolveAdapter final : public InfraAdapter {
   void start(ClientFactory factory) override;
   void stop() override;
   [[nodiscard]] core::Infra kind() const override { return core::Infra::kNetSolve; }
-  [[nodiscard]] int hosts_up() const override { return pool_.hosts_up(); }
   [[nodiscard]] int hosts_active() const override { return pool_.hosts_active(); }
-  [[nodiscard]] int hosts_total() const override { return pool_.hosts_total(); }
-  [[nodiscard]] double aggregate_rate() const override { return pool_.aggregate_rate(); }
   void apply_spike(const sim::Spike& spike) override;
   void clear_spike() override { pool_.set_pressure(1.0); }
 

@@ -65,14 +65,6 @@ int HostPool::hosts_active() const {
   return n;
 }
 
-double HostPool::aggregate_rate() const {
-  double sum = 0.0;
-  for (std::size_t i = 0; i < hosts_.size(); ++i) {
-    if (clients_[i]) sum += hosts_[i]->current_rate();
-  }
-  return sum;
-}
-
 void HostPool::reclaim_fraction(double fraction, Duration at_least) {
   // Deterministic: reclaim every k-th up host.
   if (fraction <= 0.0) return;

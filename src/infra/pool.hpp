@@ -61,7 +61,6 @@ class HostPool {
   /// Hosts that are up AND currently running a client (Figure 3b counts
   /// hosts delivering cycles, not merely powered).
   [[nodiscard]] int hosts_active() const;
-  [[nodiscard]] double aggregate_rate() const;
   [[nodiscard]] const PoolProfile& profile() const { return profile_; }
   [[nodiscard]] std::vector<std::unique_ptr<SimHost>>& hosts() { return hosts_; }
 
@@ -116,10 +115,7 @@ class InfraAdapter {
   /// Start hosts + infrastructure services; clients come from `factory`.
   virtual void start(ClientFactory factory) = 0;
   virtual void stop() = 0;
-  [[nodiscard]] virtual int hosts_up() const = 0;
   [[nodiscard]] virtual int hosts_active() const = 0;
-  [[nodiscard]] virtual int hosts_total() const = 0;
-  [[nodiscard]] virtual double aggregate_rate() const = 0;
   /// Scripted contention events (Figure 2's judging spike).
   virtual void apply_spike(const sim::Spike& spike) = 0;
   virtual void clear_spike() = 0;

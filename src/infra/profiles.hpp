@@ -32,10 +32,7 @@ class PoolAdapter : public InfraAdapter {
   [[nodiscard]] core::Infra kind() const override { return pool_.profile().infra; }
   void start(ClientFactory factory) override { pool_.start(std::move(factory)); }
   void stop() override { pool_.stop(); }
-  [[nodiscard]] int hosts_up() const override { return pool_.hosts_up(); }
   [[nodiscard]] int hosts_active() const override { return pool_.hosts_active(); }
-  [[nodiscard]] int hosts_total() const override { return pool_.hosts_total(); }
-  [[nodiscard]] double aggregate_rate() const override { return pool_.aggregate_rate(); }
 
   void apply_spike(const sim::Spike& spike) override {
     pool_.set_pressure(spike.cpu_pressure);

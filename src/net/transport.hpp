@@ -2,10 +2,13 @@
 //
 // A Transport moves packets between endpoints. Delivery is best-effort and
 // asynchronous — exactly the guarantees the paper's toolkit assumes (failure
-// detection happens above, via forecast-driven time-outs). Implementations:
-//   * InProcTransport  — same-process delivery through an Executor (tests),
-//   * sim::SimTransport — simulator delivery with latency/loss/partitions,
+// detection happens above, via forecast-driven time-outs). Two
+// implementations:
+//   * sim::SimTransport — simulator delivery with latency/loss/partitions
+//     (unit tests run it on a quiet model: no loss, no jitter),
 //   * TcpTransport      — real TCP sockets with the packet framing layer.
+// tests/test_transport_contract.cpp pins the contract below through both
+// and names where they differ.
 #pragma once
 
 #include <functional>

@@ -10,7 +10,8 @@ namespace {
 
 // sim::FaultKind wire values carried in kChaosFault's a word. obs cannot
 // include sim headers (sim links against obs), so the two values the checker
-// interprets are pinned here; fault_kind_name() round-trips them in tests.
+// interprets are pinned here, and tests/test_invariants.cpp checks them
+// against sim::FaultKind.
 constexpr std::int64_t kFaultCrash = 0;
 constexpr std::int64_t kFaultRestart = 1;
 

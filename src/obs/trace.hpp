@@ -41,7 +41,7 @@ enum class SpanKind : std::uint8_t {
   kCliqueViewChange = 11,  // a = generation, b = view size; tag = member
   kSchedUnitIssued = 12,   // a = unit id; tag = scheduler endpoint
   kSchedUnitReclaimed = 13,  // a = unit id, b = reason; tag = scheduler
-  kChaosFault = 14,        // a = FaultKind, b = aux; tag = target host
+  kChaosFault = 14,        // a = FaultKind; tag = target host
   kGossipDelta = 15,       // a = blobs carried, b = registrations carried
   kWishJob = 16,           // a = job id, b = JobState; tag = daemon endpoint
   kWishBarrier = 17,       // a = epoch, b = arrivals; tag = barrier name

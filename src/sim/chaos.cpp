@@ -13,20 +13,17 @@ const char* fault_kind_name(FaultKind k) {
     case FaultKind::kRestart: return "restart";
     case FaultKind::kLinkDown: return "link_down";
     case FaultKind::kLinkUp: return "link_up";
-    case FaultKind::kCorruptRate: return "corrupt_rate";
-    case FaultKind::kDuplicateRate: return "duplicate_rate";
-    case FaultKind::kReorderRate: return "reorder_rate";
   }
   return "?";
 }
 
 FaultPlan& FaultPlan::crash(TimePoint at, std::string host) {
-  events.push_back({at, FaultKind::kCrash, std::move(host), 0.0});
+  events.push_back({at, FaultKind::kCrash, std::move(host)});
   return *this;
 }
 
 FaultPlan& FaultPlan::restart(TimePoint at, std::string host) {
-  events.push_back({at, FaultKind::kRestart, std::move(host), 0.0});
+  events.push_back({at, FaultKind::kRestart, std::move(host)});
   return *this;
 }
 
@@ -45,13 +42,13 @@ std::string link_key(const std::string& a, const std::string& b) {
 
 FaultPlan& FaultPlan::link_down(TimePoint at, const std::string& site_a,
                                 const std::string& site_b) {
-  events.push_back({at, FaultKind::kLinkDown, link_key(site_a, site_b), 0.0});
+  events.push_back({at, FaultKind::kLinkDown, link_key(site_a, site_b)});
   return *this;
 }
 
 FaultPlan& FaultPlan::link_up(TimePoint at, const std::string& site_a,
                               const std::string& site_b) {
-  events.push_back({at, FaultKind::kLinkUp, link_key(site_a, site_b), 0.0});
+  events.push_back({at, FaultKind::kLinkUp, link_key(site_a, site_b)});
   return *this;
 }
 
@@ -60,11 +57,6 @@ FaultPlan& FaultPlan::link_flap(TimePoint at, const std::string& site_a,
                                 Duration for_how_long) {
   link_down(at, site_a, site_b);
   link_up(at + for_how_long, site_a, site_b);
-  return *this;
-}
-
-FaultPlan& FaultPlan::set_rate(TimePoint at, FaultKind which, double rate) {
-  events.push_back({at, which, {}, rate});
   return *this;
 }
 
@@ -130,8 +122,7 @@ void ChaosEngine::apply(const FaultEvent& ev) {
   auto& tr = obs::trace();
   if (tr.enabled()) {
     tr.record(events_.now(), obs::SpanKind::kChaosFault, tr.intern(ev.target),
-              static_cast<std::int64_t>(ev.kind),
-              static_cast<std::int64_t>(ev.value * 1e6));
+              static_cast<std::int64_t>(ev.kind));
   }
   switch (ev.kind) {
     case FaultKind::kCrash: {
@@ -159,15 +150,6 @@ void ChaosEngine::apply(const FaultEvent& ev) {
                                ev.kind == FaultKind::kLinkDown);
       return;
     }
-    case FaultKind::kCorruptRate:
-      network_.set_corrupt_rate(ev.value);
-      return;
-    case FaultKind::kDuplicateRate:
-      network_.set_duplicate_rate(ev.value);
-      return;
-    case FaultKind::kReorderRate:
-      network_.set_reorder_rate(ev.value);
-      return;
   }
 }
 

@@ -5,11 +5,11 @@
 // re-registration, clique rejoin/merge, scheduler work-unit re-issue,
 // persistent-state reload) that only fire when processes actually die and
 // come back. A FaultPlan scripts exactly that: crash-stop, crash-restart
-// after a delay, link flaps, and wire-level corruption/duplication/reorder,
-// all driven through the EventQueue so two runs with the same seed replay
-// bit-identically. The ChaosEngine executes the plan against registered
-// per-host process handles (kill/restart closures owned by the test or
-// scenario) and the NetworkModel's chaos rates.
+// after a delay and link flaps, all driven through the EventQueue so two
+// runs with the same seed replay bit-identically. The ChaosEngine executes
+// the plan against registered per-host process handles (kill/restart
+// closures owned by the test or scenario) and the NetworkModel's
+// partitions.
 #pragma once
 
 #include <cstdint>
@@ -26,13 +26,10 @@ namespace ew::sim {
 
 /// What one FaultEvent does when it fires.
 enum class FaultKind : std::uint8_t {
-  kCrash = 0,          // kill the process registered on `target`
-  kRestart = 1,        // restart the process registered on `target`
-  kLinkDown = 2,       // partition sites; target = "siteA|siteB"
-  kLinkUp = 3,         // heal the partition; target = "siteA|siteB"
-  kCorruptRate = 4,    // NetworkModel corrupt rate := value
-  kDuplicateRate = 5,  // NetworkModel duplicate rate := value
-  kReorderRate = 6,    // NetworkModel reorder rate := value
+  kCrash = 0,     // kill the process registered on `target`
+  kRestart = 1,   // restart the process registered on `target`
+  kLinkDown = 2,  // partition sites; target = "siteA|siteB"
+  kLinkUp = 3,    // heal the partition; target = "siteA|siteB"
 };
 
 [[nodiscard]] const char* fault_kind_name(FaultKind k);
@@ -42,7 +39,6 @@ struct FaultEvent {
   TimePoint at = 0;
   FaultKind kind = FaultKind::kCrash;
   std::string target;  // host (crash/restart) or "siteA|siteB" (links)
-  double value = 0.0;  // rate for the k*Rate kinds
 };
 
 /// The schedule. Building one is plain data manipulation — no randomness is
@@ -63,7 +59,6 @@ struct FaultPlan {
   /// Cut at `at`, heal `for_how_long` later.
   FaultPlan& link_flap(TimePoint at, const std::string& site_a,
                        const std::string& site_b, Duration for_how_long);
-  FaultPlan& set_rate(TimePoint at, FaultKind which, double rate);
 
   /// Stable sort by time (insertion order breaks ties): the order faults
   /// are armed in, hence the replay order at equal timestamps.

@@ -52,9 +52,9 @@ class BaseWorld : public World {
     const std::string h = fault_host_;
     return {
         {"crash " + h,
-         [this, h] { chaos_.inject({0, FaultKind::kCrash, h, 0.0}); }},
+         [this, h] { chaos_.inject({0, FaultKind::kCrash, h}); }},
         {"restart " + h,
-         [this, h] { chaos_.inject({0, FaultKind::kRestart, h, 0.0}); }},
+         [this, h] { chaos_.inject({0, FaultKind::kRestart, h}); }},
     };
   }
 

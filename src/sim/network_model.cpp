@@ -78,27 +78,6 @@ NetworkModel::Delivery NetworkModel::sample(const std::string& from_host,
   // server availability during the spike (Section 2.2).
   latency *= rng_.lognormal(0.0, jitter_sigma_ * congestion_);
   out.latency = std::max<Duration>(static_cast<Duration>(latency), 1);
-  // Chaos faults. Each gate draws only when its rate is non-zero so a
-  // chaos-free run consumes exactly the RNG stream it always did.
-  if (corrupt_rate_ > 0 && rng_.chance(corrupt_rate_)) {
-    out.corrupt = true;
-  }
-  if (reorder_rate_ > 0 && rng_.chance(reorder_rate_)) {
-    out.reordered = true;
-    out.latency += std::max<Duration>(
-        static_cast<Duration>(rng_.next_double() *
-                              static_cast<double>(reorder_window_)),
-        1);
-  }
-  if (duplicate_rate_ > 0 && rng_.chance(duplicate_rate_)) {
-    out.duplicate = true;
-    out.dup_latency =
-        out.latency +
-        std::max<Duration>(static_cast<Duration>(
-                               rng_.next_double() *
-                               static_cast<double>(reorder_window_)),
-                           1);
-  }
   return out;
 }
 

@@ -55,28 +55,10 @@ class NetworkModel {
   /// Effective per-byte transfer cost (cross-site only); models bandwidth.
   void set_cross_site_bandwidth(double bytes_per_sec) { bandwidth_ = bytes_per_sec; }
 
-  /// Chaos faults (driven by sim::ChaosEngine): probability that a delivered
-  /// message arrives with bit damage, arrives twice, or arrives after
-  /// later-sent traffic. All default to 0 and — deliberately — draw no
-  /// randomness while at 0, so enabling chaos never perturbs the RNG stream
-  /// of a chaos-free run.
-  void set_corrupt_rate(double p) { corrupt_rate_ = p; }
-  [[nodiscard]] double corrupt_rate() const { return corrupt_rate_; }
-  void set_duplicate_rate(double p) { duplicate_rate_ = p; }
-  [[nodiscard]] double duplicate_rate() const { return duplicate_rate_; }
-  void set_reorder_rate(double p) { reorder_rate_ = p; }
-  [[nodiscard]] double reorder_rate() const { return reorder_rate_; }
-  /// Cap on the extra delay a reordered (or duplicated) copy picks up.
-  void set_reorder_window(Duration d) { reorder_window_ = d; }
-
   /// Outcome of attempting one message delivery.
   struct Delivery {
     bool deliver = true;
-    bool corrupt = false;    // frame arrives with bit damage
-    bool duplicate = false;  // a second copy arrives at dup_latency
-    bool reordered = false;  // latency includes a reorder penalty
     Duration latency = 0;
-    Duration dup_latency = 0;
   };
   /// Sample a delivery between two hosts for a message of `bytes` size.
   Delivery sample(const std::string& from_host, const std::string& to_host,
@@ -102,10 +84,6 @@ class NetworkModel {
   double congestion_loss_ = 0.02;
   double jitter_sigma_ = 0.25;
   double bandwidth_ = 2.0e6;  // bytes/sec cross-site
-  double corrupt_rate_ = 0.0;
-  double duplicate_rate_ = 0.0;
-  double reorder_rate_ = 0.0;
-  Duration reorder_window_ = 250 * kMillisecond;
 };
 
 }  // namespace ew::sim

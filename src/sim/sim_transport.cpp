@@ -38,7 +38,7 @@ Status SimTransport::send(const Endpoint& from, const Endpoint& to, Packet packe
     ++dropped_;
     return {};  // SYN into the void: the sender only learns via time-out
   }
-  if (host_up(to.host) && !bindings_.contains(to)) {
+  if (!bindings_.contains(to)) {
     return Status(Err::kRefused, "no listener at " + to.to_string());
   }
   if (drop_ && drop_(from, to, packet)) {
@@ -46,55 +46,24 @@ Status SimTransport::send(const Endpoint& from, const Endpoint& to, Packet packe
     return {};  // injected fault: silent loss
   }
   const std::size_t size = wire::kHeaderSize + packet.payload.size();
-  auto d = network_.sample(from.host, to.host, size);
+  const auto d = network_.sample(from.host, to.host, size);
   if (!d.deliver) {
     ++dropped_;
     return {};  // lost in the network
   }
   ++sent_;
   bytes_ += size;
-  if (d.reordered) ++reordered_;
-  if (d.duplicate) {
-    // The network minted a second copy; both arrive as real deliveries and
-    // the endpoints' dedup (response seq matching, idempotent handlers)
-    // must absorb it.
-    ++duplicated_;
-    deliver_at(d.dup_latency, from, to, packet, /*corrupt=*/false);
-  }
-  if (d.corrupt) ++corrupted_;
-  deliver_at(d.latency, from, to, std::move(packet), d.corrupt);
-  return {};
-}
-
-void SimTransport::deliver_at(Duration latency, const Endpoint& from,
-                              const Endpoint& to, Packet packet, bool corrupt) {
   // Label the delivery (and, by inheritance, everything the receiving
   // handler schedules) with the destination host: the model checker's
   // independence relation is "different hosts commute".
   EventQueue::LabelScope scope(events_, to.host);
-  events_.schedule(latency, [this, from, to, corrupt,
-                             pkt = std::move(packet)]() mutable {
+  events_.schedule(d.latency, [this, from, to, pkt = std::move(packet)]() mutable {
     if (!host_up(to.host)) return;  // receiver died in flight
     auto it = bindings_.find(to);
     if (it == bindings_.end()) return;  // unbound in flight
-    if (corrupt) {
-      // Emulate bit damage at the receiver's integrity boundary: frame the
-      // packet, flip one byte inside the checksummed region, and run the
-      // real FrameParser. The damaged frame must be rejected (counted as
-      // net.frames.corrupt), never delivered; if the checksum ever failed
-      // to catch it, the damaged payload would flow to the handler exactly
-      // as it would in production.
-      Bytes framed = encode_packet(pkt);
-      framed.back() ^= 0x40;  // payload's last byte, or the checksum itself
-      FrameParser parser;
-      parser.feed(framed);
-      auto parsed = parser.next();
-      if (!parsed.ok()) return;  // rejected at the integrity boundary
-      it->second(IncomingMessage{from, std::move(*parsed)});
-      return;
-    }
     it->second(IncomingMessage{from, std::move(pkt)});
   });
+  return {};
 }
 
 }  // namespace ew::sim

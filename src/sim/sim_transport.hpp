@@ -40,14 +40,8 @@ class SimTransport final : public Transport {
   [[nodiscard]] std::uint64_t packets_sent() const { return sent_; }
   [[nodiscard]] std::uint64_t packets_dropped() const { return dropped_; }
   [[nodiscard]] std::uint64_t bytes_sent() const { return bytes_; }
-  [[nodiscard]] std::uint64_t packets_corrupted() const { return corrupted_; }
-  [[nodiscard]] std::uint64_t packets_duplicated() const { return duplicated_; }
-  [[nodiscard]] std::uint64_t packets_reordered() const { return reordered_; }
 
  private:
-  void deliver_at(Duration latency, const Endpoint& from, const Endpoint& to,
-                  Packet packet, bool corrupt);
-
   EventQueue& events_;
   NetworkModel& network_;
   std::unordered_map<Endpoint, PacketHandler, EndpointHash> bindings_;
@@ -56,9 +50,6 @@ class SimTransport final : public Transport {
   std::uint64_t sent_ = 0;
   std::uint64_t dropped_ = 0;
   std::uint64_t bytes_ = 0;
-  std::uint64_t corrupted_ = 0;
-  std::uint64_t duplicated_ = 0;
-  std::uint64_t reordered_ = 0;
 };
 
 }  // namespace ew::sim

@@ -100,8 +100,6 @@ void WishDaemon::register_handlers() {
   node_.handle(msgtype::kJobPoll, guard(&WishDaemon::on_poll));
   node_.handle(msgtype::kJobSignal, guard(&WishDaemon::on_signal));
   node_.handle(msgtype::kJobReap, guard(&WishDaemon::on_reap));
-  node_.handle(msgtype::kEnvSet, guard(&WishDaemon::on_env_set));
-  node_.handle(msgtype::kEnvGet, guard(&WishDaemon::on_env_get));
   node_.handle(msgtype::kBarrierEnter, guard(&WishDaemon::on_barrier_enter));
   node_.handle(msgtype::kBarrierRelease,
                guard(&WishDaemon::on_barrier_release));
@@ -232,32 +230,6 @@ std::uint64_t WishDaemon::env_set(const std::string& key,
   const std::uint64_t version = env_.set(key, value);
   c_env_sets_->inc();
   return version;
-}
-
-void WishDaemon::on_env_set(const IncomingMessage& msg, const Responder& resp) {
-  auto req = EnvSetRequest::deserialize(msg.packet.payload);
-  if (!req) {
-    resp.fail(req.error().code, req.error().message);
-    return;
-  }
-  EnvSetReply reply;
-  reply.version = env_set(req->key, req->value);
-  resp.ok(reply.serialize());
-}
-
-void WishDaemon::on_env_get(const IncomingMessage& msg, const Responder& resp) {
-  auto req = EnvGetRequest::deserialize(msg.packet.payload);
-  if (!req) {
-    resp.fail(req.error().code, req.error().message);
-    return;
-  }
-  EnvGetReply reply;
-  if (auto e = env_.entry(req->key)) {
-    reply.found = true;
-    reply.value = e->value;
-    reply.version = e->version;
-  }
-  resp.ok(reply.serialize());
 }
 
 // --- Barrier -----------------------------------------------------------------
@@ -453,13 +425,6 @@ void WishDaemon::leader_once(const std::string& name, std::uint64_t epoch,
                cb(reply->winner == claimant, reply->winner,
                   reply->coordinator_incarnation);
              });
-}
-
-std::optional<std::string> WishDaemon::leader_winner(const std::string& name,
-                                                     std::uint64_t epoch) const {
-  const auto it = leaders_.find(BarrierKey{name, epoch});
-  if (it == leaders_.end()) return std::nullopt;
-  return it->second;
 }
 
 // --- Scatter/gather ----------------------------------------------------------

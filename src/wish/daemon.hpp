@@ -118,9 +118,6 @@ class WishDaemon {
   [[nodiscard]] std::uint64_t barrier_reentries() const { return reentries_; }
   /// Open participant-side waits (0 = no barrier in progress here).
   [[nodiscard]] std::size_t open_barrier_waits() const { return waits_.size(); }
-  /// Coordinator-side winner of (name, epoch) this incarnation, if any.
-  [[nodiscard]] std::optional<std::string> leader_winner(
-      const std::string& name, std::uint64_t epoch) const;
 
  private:
   using BarrierKey = std::pair<std::string, std::uint64_t>;  // (name, epoch)
@@ -143,8 +140,6 @@ class WishDaemon {
   void on_poll(const IncomingMessage& msg, const Responder& resp);
   void on_signal(const IncomingMessage& msg, const Responder& resp);
   void on_reap(const IncomingMessage& msg, const Responder& resp);
-  void on_env_set(const IncomingMessage& msg, const Responder& resp);
-  void on_env_get(const IncomingMessage& msg, const Responder& resp);
   void on_barrier_enter(const IncomingMessage& msg, const Responder& resp);
   void on_barrier_release(const IncomingMessage& msg, const Responder& resp);
   void on_leader_claim(const IncomingMessage& msg, const Responder& resp);

@@ -3,9 +3,9 @@
 // The WISH workload (ROADMAP: "a WISH-style interactive wide-area shell",
 // grounded in jcnelson/wish's libwish packets and MPICH-G2-style collectives)
 // is the first toolkit subsystem whose calls are short-lived and bursty —
-// spawn/poll/signal/reap job control, global environment variables, and
-// barrier / leader-once / scatter-gather synchronization fan-outs — the
-// opposite traffic shape from the long-running Ramsey clients.
+// spawn/poll/signal/reap job control and barrier / leader-once /
+// scatter-gather synchronization fan-outs — the opposite traffic shape from
+// the long-running Ramsey clients.
 //
 // Every message carries the same versioned envelope the scheduler protocol
 // uses (u8 wire version + u16 kind), and every list decode is guarded by a
@@ -39,8 +39,12 @@ constexpr MsgType kJobSpawn = 0x0401;       // SpawnRequest -> SpawnReply
 constexpr MsgType kJobPoll = 0x0402;        // PollRequest -> PollReply
 constexpr MsgType kJobSignal = 0x0403;      // SignalRequest -> SignalReply
 constexpr MsgType kJobReap = 0x0404;        // ReapRequest -> ReapReply
-constexpr MsgType kEnvSet = 0x0405;         // EnvSetRequest -> EnvSetReply
-constexpr MsgType kEnvGet = 0x0406;         // EnvGetRequest -> EnvGetReply
+// RETIRED: 0x0405 and 0x0406 were kEnvSet and kEnvGet, a remote env
+// read/write RPC that nothing sent (the env travels by gossip, and each host
+// writes through WishDaemon::env_set). The constants are kept so the ids are
+// never reassigned; no handler is registered for them.
+constexpr MsgType kEnvSet = 0x0405;
+constexpr MsgType kEnvGet = 0x0406;
 constexpr MsgType kBarrierEnter = 0x0407;   // BarrierEnter -> BarrierEnterReply
 constexpr MsgType kBarrierRelease = 0x0408; // BarrierRelease -> ok()
 constexpr MsgType kLeaderClaim = 0x0409;    // LeaderClaim -> LeaderReply
@@ -218,70 +222,6 @@ struct ReapReply {
   [[nodiscard]] Bytes serialize() const { return wire::encode(*this); }
   static Result<ReapReply> deserialize(const Bytes& data) {
     return wire::decode<ReapReply>(data);
-  }
-};
-
-// --- Global environment ------------------------------------------------------
-
-struct EnvSetRequest {
-  std::string key;
-  std::string value;
-
-  static constexpr wire::Format kWire = wish_wire(msgtype::kEnvSet);
-  template <class Ar>
-  void fields(Ar& ar) {
-    ar(key, value);
-  }
-  [[nodiscard]] Status validate() const {
-    return wire::check(!key.empty(), "empty env key");
-  }
-  [[nodiscard]] Bytes serialize() const { return wire::encode(*this); }
-  static Result<EnvSetRequest> deserialize(const Bytes& data) {
-    return wire::decode<EnvSetRequest>(data);
-  }
-};
-
-struct EnvSetReply {
-  std::uint64_t version = 0;  // the entry's per-key version after the write
-
-  static constexpr wire::Format kWire = wish_wire(msgtype::kEnvSet);
-  template <class Ar>
-  void fields(Ar& ar) {
-    ar(version);
-  }
-  [[nodiscard]] Bytes serialize() const { return wire::encode(*this); }
-  static Result<EnvSetReply> deserialize(const Bytes& data) {
-    return wire::decode<EnvSetReply>(data);
-  }
-};
-
-struct EnvGetRequest {
-  std::string key;
-
-  static constexpr wire::Format kWire = wish_wire(msgtype::kEnvGet);
-  template <class Ar>
-  void fields(Ar& ar) {
-    ar(key);
-  }
-  [[nodiscard]] Bytes serialize() const { return wire::encode(*this); }
-  static Result<EnvGetRequest> deserialize(const Bytes& data) {
-    return wire::decode<EnvGetRequest>(data);
-  }
-};
-
-struct EnvGetReply {
-  bool found = false;
-  std::string value;
-  std::uint64_t version = 0;
-
-  static constexpr wire::Format kWire = wish_wire(msgtype::kEnvGet);
-  template <class Ar>
-  void fields(Ar& ar) {
-    ar(found, value, version);
-  }
-  [[nodiscard]] Bytes serialize() const { return wire::encode(*this); }
-  static Result<EnvGetReply> deserialize(const Bytes& data) {
-    return wire::decode<EnvGetReply>(data);
   }
 };
 

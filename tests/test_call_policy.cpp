@@ -3,10 +3,11 @@
 #include <gtest/gtest.h>
 
 #include "net/call_policy.hpp"
-#include "net/inproc_transport.hpp"
 #include "net/node.hpp"
 #include "obs/registry.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/network_model.hpp"
+#include "sim/sim_transport.hpp"
 
 namespace ew {
 namespace {
@@ -20,9 +21,11 @@ constexpr MsgType kFlaky = 0x14;
 class CallPolicyTest : public ::testing::Test {
  protected:
   CallPolicyTest()
-      : transport(events),
-        server(events, transport, Endpoint{"server", 1}),
+      : server(events, transport, Endpoint{"server", 1}),
         client(events, transport, Endpoint{"client", 1}) {
+    net.set_loss_rate(0.0);
+    net.set_jitter_sigma(0.0);
+    net.set_default_latencies(0, 0);
     EXPECT_TRUE(server.start().ok());
     EXPECT_TRUE(client.start().ok());
     server.handle(kEcho, [](const IncomingMessage& m, Responder r) {
@@ -74,7 +77,8 @@ class CallPolicyTest : public ::testing::Test {
   }
 
   sim::EventQueue events;
-  InProcTransport transport;
+  sim::NetworkModel net{Rng(1)};
+  sim::SimTransport transport{events, net};
   Node server;
   Node client;
   AggregateCallStats sink;
@@ -223,7 +227,8 @@ TEST_F(CallPolicyTest, DeadlineBoundsRetries) {
 
 TEST_F(CallPolicyTest, HedgeCancelsDuplicateResponse) {
   seed_rtt(kEcho);                         // hedge at 100 ms, time-out 250 ms
-  transport.set_latency(60 * kMillisecond);  // real RTT 120 ms > hedge delay
+  // real RTT 120 ms > hedge delay
+  net.set_default_latencies(60 * kMillisecond, 60 * kMillisecond);
   CallOptions o;                           // dynamic time-out
   o.hedge = HedgePolicy::at(0.95);
   int called = 0;
@@ -248,7 +253,7 @@ TEST_F(CallPolicyTest, HedgeCancelsDuplicateResponse) {
 
 TEST_F(CallPolicyTest, HedgeWinsWhenPrimaryIsLost) {
   seed_rtt(kEcho);
-  transport.set_latency(60 * kMillisecond);
+  net.set_default_latencies(60 * kMillisecond, 60 * kMillisecond);
   drop_first_requests(1);  // the primary vanishes; only the hedge arrives
   CallOptions o;
   o.hedge = HedgePolicy::at(0.95);
@@ -271,7 +276,7 @@ TEST_F(CallPolicyTest, HedgeWinsWhenPrimaryIsLost) {
 }
 
 TEST_F(CallPolicyTest, HedgeSkippedWithoutRttHistory) {
-  transport.set_latency(60 * kMillisecond);
+  net.set_default_latencies(60 * kMillisecond, 60 * kMillisecond);
   CallOptions o;
   o.hedge = HedgePolicy::at(0.95);  // enabled, but the forecast knows nothing
   std::optional<Result<Bytes>> got;
@@ -291,7 +296,8 @@ TEST_F(CallPolicyTest, LateResponseAfterRetriedAttemptDeliversExactlyOnce) {
   // response lands. The first attempt's late response must rescue the call
   // (one delivery), and the superseding retry's response must be dropped as
   // a duplicate (not a second delivery).
-  transport.set_latency(300 * kMillisecond);  // RTT 600 ms
+  // RTT 600 ms
+  net.set_default_latencies(300 * kMillisecond, 300 * kMillisecond);
   CallOptions o = CallOptions::fixed(400 * kMillisecond);
   o.retry = RetryPolicy::standard(2);
   int called = 0;
@@ -518,10 +524,12 @@ class BackpressureTransport final : public Transport {
 class OverloadedCallTest : public ::testing::Test {
  protected:
   OverloadedCallTest()
-      : transport(events),
-        client_transport(transport),
+      : client_transport(transport),
         server(events, transport, Endpoint{"server", 1}),
         client(events, client_transport, Endpoint{"client", 1}) {
+    net.set_loss_rate(0.0);
+    net.set_jitter_sigma(0.0);
+    net.set_default_latencies(0, 0);
     EXPECT_TRUE(server.start().ok());
     EXPECT_TRUE(client.start().ok());
     server.handle(kEcho, [](const IncomingMessage& m, Responder r) {
@@ -538,7 +546,8 @@ class OverloadedCallTest : public ::testing::Test {
   }
 
   sim::EventQueue events;
-  InProcTransport transport;
+  sim::NetworkModel net{Rng(1)};
+  sim::SimTransport transport{events, net};
   BackpressureTransport client_transport;
   Node server;
   Node client;

@@ -7,8 +7,9 @@
 #include <map>
 
 #include "core/scheduler.hpp"
-#include "net/inproc_transport.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/network_model.hpp"
+#include "sim/sim_transport.hpp"
 
 namespace ew::core {
 namespace {
@@ -16,9 +17,11 @@ namespace {
 class DirectivePolicyTest : public ::testing::Test {
  protected:
   DirectivePolicyTest()
-      : transport_(events_),
-        sched_node_(events_, transport_, Endpoint{"sched", 601}),
+      : sched_node_(events_, transport_, Endpoint{"sched", 601}),
         client_node_(events_, transport_, Endpoint{"fake", 2000}) {
+    net_.set_loss_rate(0.0);
+    net_.set_jitter_sigma(0.0);
+    net_.set_default_latencies(0, 0);
     EXPECT_TRUE(sched_node_.start().ok());
     EXPECT_TRUE(client_node_.start().ok());
     SchedulerServer::Options o;
@@ -69,7 +72,8 @@ class DirectivePolicyTest : public ::testing::Test {
   }
 
   sim::EventQueue events_;
-  InProcTransport transport_;
+  sim::NetworkModel net_{Rng(1)};
+  sim::SimTransport transport_{events_, net_};
   Node sched_node_;
   Node client_node_;
   std::unique_ptr<SchedulerServer> sched_;

@@ -10,6 +10,7 @@
 
 #include "obs/invariants.hpp"
 #include "obs/trace.hpp"
+#include "sim/chaos.hpp"
 
 namespace ew::obs {
 namespace {
@@ -38,6 +39,14 @@ bool has_violation(const InvariantReport& r, const std::string& needle) {
     if (v.find(needle) != std::string::npos) return true;
   }
   return false;
+}
+
+TEST(Invariants, FaultKindWireValuesMatchTheChaosEngine) {
+  // The checker reads crash and restart out of kChaosFault's a word by value.
+  EXPECT_EQ(static_cast<std::int64_t>(sim::FaultKind::kCrash), kCrash);
+  EXPECT_EQ(static_cast<std::int64_t>(sim::FaultKind::kRestart), kRestart);
+  EXPECT_STREQ(sim::fault_kind_name(sim::FaultKind::kCrash), "crash");
+  EXPECT_STREQ(sim::fault_kind_name(sim::FaultKind::kRestart), "restart");
 }
 
 TEST(Invariants, UnitIssuedAndNeverReclaimedIsLost) {

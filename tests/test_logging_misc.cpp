@@ -7,8 +7,9 @@
 #include "core/client.hpp"
 #include "core/logging_service.hpp"
 #include "core/scheduler.hpp"
-#include "net/inproc_transport.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/network_model.hpp"
+#include "sim/sim_transport.hpp"
 
 namespace ew::core {
 namespace {
@@ -18,8 +19,11 @@ namespace {
 class LoggingTest : public ::testing::Test {
  protected:
   LoggingTest()
-      : transport_(events_), node_(events_, transport_, Endpoint{"log", 401}),
+      : node_(events_, transport_, Endpoint{"log", 401}),
         sender_(events_, transport_, Endpoint{"sender", 1}) {
+    net_.set_loss_rate(0.0);
+    net_.set_jitter_sigma(0.0);
+    net_.set_default_latencies(0, 0);
     EXPECT_TRUE(node_.start().ok());
     EXPECT_TRUE(sender_.start().ok());
   }
@@ -36,7 +40,8 @@ class LoggingTest : public ::testing::Test {
   }
 
   sim::EventQueue events_;
-  InProcTransport transport_;
+  sim::NetworkModel net_{Rng(1)};
+  sim::SimTransport transport_{events_, net_};
   Node node_;
   Node sender_;
 };

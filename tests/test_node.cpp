@@ -1,10 +1,12 @@
-// Tests for the Node RPC multiplexer over the in-process transport.
+// Tests for the Node RPC multiplexer over the simulated transport on a quiet
+// network (no loss, no jitter, zero latency unless a test sets one).
 #include <gtest/gtest.h>
 
-#include "net/inproc_transport.hpp"
 #include "net/node.hpp"
 #include "obs/registry.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/network_model.hpp"
+#include "sim/sim_transport.hpp"
 
 namespace ew {
 namespace {
@@ -16,9 +18,11 @@ constexpr MsgType kSilent = 0x12;
 class NodeTest : public ::testing::Test {
  protected:
   NodeTest()
-      : transport(events),
-        server(events, transport, Endpoint{"server", 1}),
+      : server(events, transport, Endpoint{"server", 1}),
         client(events, transport, Endpoint{"client", 1}) {
+    net.set_loss_rate(0.0);
+    net.set_jitter_sigma(0.0);
+    net.set_default_latencies(0, 0);
     EXPECT_TRUE(server.start().ok());
     EXPECT_TRUE(client.start().ok());
     server.handle(kEcho, [](const IncomingMessage& m, Responder r) {
@@ -33,7 +37,8 @@ class NodeTest : public ::testing::Test {
   }
 
   sim::EventQueue events;
-  InProcTransport transport;
+  sim::NetworkModel net{Rng(1)};
+  sim::SimTransport transport{events, net};
   Node server;
   Node client;
 };
@@ -102,7 +107,8 @@ TEST_F(NodeTest, DroppedRequestTimesOut) {
 }
 
 TEST_F(NodeTest, LateResponseAfterTimeoutIsDropped) {
-  transport.set_latency(2 * kSecond);  // deliver after the 1 s timeout
+  // deliver after the 1 s timeout
+  net.set_default_latencies(2 * kSecond, 2 * kSecond);
   int called = 0;
   client.call(server.self(), kEcho, {5}, CallOptions::fixed(kSecond), [&](Result<Bytes> r) {
     ++called;
@@ -131,7 +137,7 @@ TEST_F(NodeTest, RttObserverSeesSuccessAndFailure) {
     bool ok;
   };
   std::vector<Obs> seen;
-  transport.set_latency(100 * kMillisecond);
+  net.set_default_latencies(100 * kMillisecond, 100 * kMillisecond);
   client.set_rtt_observer([&](const Endpoint& to, MsgType t, Duration rtt, bool ok) {
     seen.push_back({to, t, rtt, ok});
   });
@@ -214,7 +220,8 @@ TEST_F(NodeTest, ProcessStatsTrackSpuriousTimeouts) {
   process_call_stats().reset();
   // Response slower than the time-out: the timer fires, then the late
   // response arrives and is recorded as a misjudgment.
-  transport.set_latency(300 * kMillisecond);  // RTT 600 ms
+  // RTT 600 ms
+  net.set_default_latencies(300 * kMillisecond, 300 * kMillisecond);
   int called = 0;
   client.call(server.self(), kEcho, {}, CallOptions::fixed(400 * kMillisecond),
               [&](Result<Bytes>) { ++called; });

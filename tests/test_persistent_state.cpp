@@ -10,9 +10,10 @@
 #include <memory>
 
 #include "core/persistent_state.hpp"
-#include "net/inproc_transport.hpp"
 #include "ramsey/clique.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/network_model.hpp"
+#include "sim/sim_transport.hpp"
 
 namespace ew::core {
 namespace {
@@ -20,8 +21,11 @@ namespace {
 class PersistentStateTest : public ::testing::Test {
  protected:
   PersistentStateTest()
-      : transport(events), node(events, transport, Endpoint{"state", 402}),
+      : node(events, transport, Endpoint{"state", 402}),
         mgr(node) {
+    net.set_loss_rate(0.0);
+    net.set_jitter_sigma(0.0);
+    net.set_default_latencies(0, 0);
     EXPECT_TRUE(node.start().ok());
     mgr.register_validator("ramsey/best/", PersistentStateManager::ramsey_validator());
     mgr.start();
@@ -32,7 +36,8 @@ class PersistentStateTest : public ::testing::Test {
   }
 
   sim::EventQueue events;
-  InProcTransport transport;
+  sim::NetworkModel net{Rng(1)};
+  sim::SimTransport transport{events, net};
   Node node;
   PersistentStateManager mgr;
 };
@@ -163,7 +168,10 @@ TEST_F(PersistentStateTest, ObjectCapEnforced) {
 
 class FileBackedStateTest : public ::testing::Test {
  protected:
-  FileBackedStateTest() : transport(events) {
+  FileBackedStateTest() {
+    net.set_loss_rate(0.0);
+    net.set_jitter_sigma(0.0);
+    net.set_default_latencies(0, 0);
     char tmpl[] = "/tmp/ew_state_XXXXXX";
     dir = mkdtemp(tmpl);
     EXPECT_FALSE(dir.empty());
@@ -183,7 +191,8 @@ class FileBackedStateTest : public ::testing::Test {
   }
 
   sim::EventQueue events;
-  InProcTransport transport;
+  sim::NetworkModel net{Rng(1)};
+  sim::SimTransport transport{events, net};
   std::string dir;
 };
 

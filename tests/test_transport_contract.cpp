@@ -1,17 +1,16 @@
 // The Transport contract (net/transport.hpp), run through every transport.
 //
-// Each driver owns one transport and the executor that pumps it: the
-// in-process and simulated transports run on a sim::EventQueue (the sim on
-// a quiet NetworkModel: no loss, no jitter, zero latency), TcpTransport on
-// a Reactor over loopback with ephemeral ports. The typed suite pins what
-// every transport guarantees; the tests after it name where they differ.
+// Each driver owns one transport and the executor that pumps it:
+// SimTransport runs on a sim::EventQueue over a quiet NetworkModel (no
+// loss, no jitter, zero latency), TcpTransport on a Reactor over loopback
+// with ephemeral ports. The typed suite pins what every transport
+// guarantees; the tests after it name where they differ.
 #include <gtest/gtest.h>
 
 #include <functional>
 #include <string>
 #include <vector>
 
-#include "net/inproc_transport.hpp"
 #include "net/reactor.hpp"
 #include "net/tcp.hpp"
 #include "net/tcp_transport.hpp"
@@ -21,15 +20,6 @@
 
 namespace ew {
 namespace {
-
-struct InProcDriver {
-  sim::EventQueue events;
-  InProcTransport transport{events};
-
-  Endpoint endpoint(int i) { return Endpoint{"host" + std::to_string(i), 1}; }
-  void pump_until(const std::function<bool()>&) { events.run_until_idle(); }
-  void settle() { events.run_until_idle(); }
-};
 
 struct SimDriver {
   sim::EventQueue events;
@@ -76,7 +66,7 @@ class TransportContract : public ::testing::Test {
   }
 };
 
-using Drivers = ::testing::Types<InProcDriver, SimDriver, TcpDriver>;
+using Drivers = ::testing::Types<SimDriver, TcpDriver>;
 TYPED_TEST_SUITE(TransportContract, Drivers);
 
 Packet sample_packet() {
@@ -153,24 +143,15 @@ TYPED_TEST(TransportContract, SendAfterUnbindIsNotDelivered) {
 
 // ---- Where the transports differ ----------------------------------------
 
-// The in-process and simulated transports know every binding, so a send to
-// an endpoint nobody bound fails inside send() with kRefused (the sim's
-// model of a TCP RST from a live host).
-template <typename Driver>
-void expect_unbound_peer_refused_at_once() {
-  Driver d;
+// The simulated transport knows every binding, so a send to an endpoint
+// nobody bound fails inside send() with kRefused (its model of a TCP RST
+// from a live host).
+TEST(TransportContractDifferences, SimRefusesAnUnboundPeerAtOnce) {
+  SimDriver d;
   const Endpoint a = d.endpoint(1);
   ASSERT_TRUE(d.transport.bind(a, [](IncomingMessage) {}).ok());
   EXPECT_EQ(d.transport.send(a, d.endpoint(2), sample_packet()).code(),
             Err::kRefused);
-}
-
-TEST(TransportContractDifferences, InProcRefusesAnUnboundPeerAtOnce) {
-  expect_unbound_peer_refused_at_once<InProcDriver>();
-}
-
-TEST(TransportContractDifferences, SimRefusesAnUnboundPeerAtOnce) {
-  expect_unbound_peer_refused_at_once<SimDriver>();
 }
 
 // TcpTransport cannot know a remote port is closed until its dial fails:

@@ -115,18 +115,6 @@ const std::map<std::string, Golden>& pins() {
       {"wish.ReapReply",
        {"01040402000000",
         0x82273f2df589daa5ULL}},
-      {"wish.EnvSetRequest",
-       {"01050409000000574953485f524f4f540a0000002f677269642f77697368",
-        0xc070b3abc3c16687ULL}},
-      {"wish.EnvSetReply",
-       {"0105040500000000000000",
-        0xba3abd28710314daULL}},
-      {"wish.EnvGetRequest",
-       {"01060409000000574953485f524f4f54",
-        0x75af85d97e4287bbULL}},
-      {"wish.EnvGetReply",
-       {"010604010a0000002f677269642f776973680500000000000000",
-        0x36950b84582b0a9eULL}},
       {"wish.BarrierEnter",
        {"0107040400000062617230030000000000000008000000060000006e6f64652d625a1b01",
         0xb72a8d97835fdf71ULL}},

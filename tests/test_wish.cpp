@@ -96,34 +96,6 @@ TEST(WishCodec, PollSignalReapRoundTrip) {
   EXPECT_EQ(rrback->reaped, 1u);
 }
 
-TEST(WishCodec, EnvRoundTrip) {
-  EnvSetRequest set{"WISH_ROOT", "/grid/wish"};
-  auto sback = EnvSetRequest::deserialize(set.serialize());
-  ASSERT_TRUE(sback.ok());
-  EXPECT_EQ(sback->key, "WISH_ROOT");
-  EXPECT_EQ(sback->value, "/grid/wish");
-
-  EnvSetReply srep{5};
-  auto srback = EnvSetReply::deserialize(srep.serialize());
-  ASSERT_TRUE(srback.ok());
-  EXPECT_EQ(srback->version, 5u);
-
-  EnvGetRequest get{"WISH_ROOT"};
-  auto gback = EnvGetRequest::deserialize(get.serialize());
-  ASSERT_TRUE(gback.ok());
-  EXPECT_EQ(gback->key, "WISH_ROOT");
-
-  EnvGetReply grep;
-  grep.found = true;
-  grep.value = "/grid/wish";
-  grep.version = 5;
-  auto grback = EnvGetReply::deserialize(grep.serialize());
-  ASSERT_TRUE(grback.ok());
-  EXPECT_TRUE(grback->found);
-  EXPECT_EQ(grback->value, "/grid/wish");
-  EXPECT_EQ(grback->version, 5u);
-}
-
 TEST(WishCodec, SyncPrimitivesRoundTrip) {
   BarrierEnter enter;
   enter.name = "bar0";
@@ -454,6 +426,33 @@ TEST_F(WishDaemonTest, JobLifecycleOverTheWire) {
   EXPECT_EQ(rrep->reaped, 2u);
   EXPECT_EQ(daemon(0).jobs().size(), 0u);
   EXPECT_EQ(daemon(0).jobs_completed(), 1u);
+}
+
+TEST_F(WishDaemonTest, RetiredEnvIdsAreUnhandled) {
+  // 0x0405 (env set) and 0x0406 (env get) no longer have handlers: a call
+  // at either is rejected, even with a well-formed payload in the retired
+  // layout, and the env is untouched.
+  build(1);
+  Writer set(64);
+  set.u8(kWishWireVersion);
+  set.u16(msgtype::kEnvSet);
+  set.str("WISH_ROOT");
+  set.str("/grid/wish");
+  Writer get(64);
+  get.u8(kWishWireVersion);
+  get.u16(msgtype::kEnvGet);
+  get.str("WISH_ROOT");
+  const std::pair<MsgType, Bytes> calls[] = {{msgtype::kEnvSet, set.take()},
+                                             {msgtype::kEnvGet, get.take()}};
+  for (const auto& [type, payload] : calls) {
+    std::optional<Result<Bytes>> got;
+    client_node_->call(peers_[0], type, payload, CallOptions::fixed(2 * kSecond),
+                       [&got](Result<Bytes> r) { got = std::move(r); });
+    events_.run_for(5 * kSecond);
+    ASSERT_TRUE(got.has_value()) << type;
+    EXPECT_EQ(got->code(), Err::kRejected) << type;
+  }
+  EXPECT_FALSE(daemon(0).env_get("WISH_ROOT").has_value());
 }
 
 TEST_F(WishDaemonTest, BarrierReleasesEveryParticipantExactlyOnce) {

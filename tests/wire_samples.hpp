@@ -176,10 +176,6 @@ void for_each_sample(F&& f) {
   f("wish.SignalReply", wish::SignalReply{wish::JobState::kKilled});
   f("wish.ReapRequest", wish::ReapRequest{{1, 5}});
   f("wish.ReapReply", wish::ReapReply{2});
-  f("wish.EnvSetRequest", wish::EnvSetRequest{"WISH_ROOT", "/grid/wish"});
-  f("wish.EnvSetReply", wish::EnvSetReply{5});
-  f("wish.EnvGetRequest", wish::EnvGetRequest{"WISH_ROOT"});
-  f("wish.EnvGetReply", wish::EnvGetReply{true, "/grid/wish", 5});
   wish::BarrierEnter enter;
   enter.name = "bar0";
   enter.epoch = 3;
