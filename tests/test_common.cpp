@@ -199,6 +199,59 @@ TEST(Serialize, TruncatedReadsFail) {
   EXPECT_EQ(r.u64().code(), Err::kProtocol);
 }
 
+// Each fixed-width read, one byte short: it fails with the same message and
+// leaves the reader where it was.
+template <class Read>
+void expect_short_read(std::size_t have, Read read, const std::string& message) {
+  const Bytes b(have, 0xAB);
+  Reader r(b);
+  const auto out = read(r);
+  ASSERT_FALSE(out.ok());
+  EXPECT_EQ(out.error().code, Err::kProtocol);
+  EXPECT_EQ(out.error().message, message);
+  EXPECT_EQ(r.remaining(), have);
+}
+
+TEST(Serialize, ShortFixedWidthReadsFailAndConsumeNothing) {
+  expect_short_read(0, [](Reader& r) { return r.u8(); }, "truncated: need 1 bytes, have 0");
+  expect_short_read(1, [](Reader& r) { return r.u16(); }, "truncated: need 2 bytes, have 1");
+  expect_short_read(3, [](Reader& r) { return r.u32(); }, "truncated: need 4 bytes, have 3");
+  expect_short_read(7, [](Reader& r) { return r.u64(); }, "truncated: need 8 bytes, have 7");
+  expect_short_read(3, [](Reader& r) { return r.i32(); }, "truncated: need 4 bytes, have 3");
+  expect_short_read(7, [](Reader& r) { return r.i64(); }, "truncated: need 8 bytes, have 7");
+  expect_short_read(7, [](Reader& r) { return r.f64(); }, "truncated: need 8 bytes, have 7");
+  expect_short_read(0, [](Reader& r) { return r.boolean(); },
+                    "truncated: need 1 bytes, have 0");
+  expect_short_read(3, [](Reader& r) { return r.raw(4); }, "blob length 4 exceeds remaining 3");
+}
+
+TEST(Serialize, ShortLengthPrefixFailsAndConsumesNothing) {
+  expect_short_read(2, [](Reader& r) { return r.str(); }, "truncated: need 4 bytes, have 2");
+  expect_short_read(3, [](Reader& r) { return r.blob(); }, "truncated: need 4 bytes, have 3");
+}
+
+TEST(Serialize, ShortBodyFailsAfterItsLengthPrefix) {
+  Writer w;
+  w.u32(5);
+  w.raw(Bytes{1, 2, 3});
+  {
+    Reader r(w.bytes());
+    const auto s = r.str();
+    ASSERT_FALSE(s.ok());
+    EXPECT_EQ(s.error().code, Err::kProtocol);
+    EXPECT_EQ(s.error().message, "string length 5 exceeds remaining 3");
+    EXPECT_EQ(r.remaining(), 3u);  // the prefix was read, the body was not
+  }
+  {
+    Reader r(w.bytes());
+    const auto b = r.blob();
+    ASSERT_FALSE(b.ok());
+    EXPECT_EQ(b.error().code, Err::kProtocol);
+    EXPECT_EQ(b.error().message, "blob length 5 exceeds remaining 3");
+    EXPECT_EQ(r.remaining(), 3u);
+  }
+}
+
 TEST(Serialize, StringLengthBeyondBufferFails) {
   Writer w;
   w.u32(1000);  // claims 1000 bytes follow
@@ -209,7 +262,9 @@ TEST(Serialize, StringLengthBeyondBufferFails) {
 TEST(Serialize, BadBooleanEncodingFails) {
   Bytes b{2};
   Reader r(b);
-  EXPECT_EQ(r.boolean().code(), Err::kProtocol);
+  const auto v = r.boolean();
+  EXPECT_EQ(v.code(), Err::kProtocol);
+  EXPECT_EQ(v.error().message, "bad boolean encoding");
 }
 
 TEST(Serialize, LittleEndianLayout) {

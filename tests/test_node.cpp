@@ -53,6 +53,24 @@ TEST_F(NodeTest, RequestResponseRoundTrip) {
   EXPECT_EQ(got->value(), (Bytes{1, 2, 3}));
 }
 
+TEST_F(NodeTest, ReplyBodyArrivesByteForByte) {
+  // The status byte is stripped and nothing else: an empty body stays empty,
+  // and every byte value (a leading 0 or 1 included) survives in order.
+  Bytes every(4096);
+  for (std::size_t i = 0; i < every.size(); ++i) {
+    every[i] = static_cast<std::uint8_t>(i * 7);
+  }
+  for (const Bytes& body : {Bytes{}, Bytes{0}, Bytes{1, 0, 0}, every}) {
+    std::optional<Result<Bytes>> got;
+    client.call(server.self(), kEcho, body, CallOptions::fixed(kSecond),
+                [&](Result<Bytes> r) { got = std::move(r); });
+    events.run_until_idle();
+    ASSERT_TRUE(got.has_value());
+    ASSERT_TRUE(got->ok());
+    EXPECT_EQ(got->value(), body);
+  }
+}
+
 TEST_F(NodeTest, ServerRejectionSurfacesCodeAndMessage) {
   std::optional<Result<Bytes>> got;
   client.call(server.self(), kFailing, {}, CallOptions::fixed(kSecond),

@@ -4,7 +4,8 @@
 // encoding, and hostile u32 counts written at every offset). The digest folds
 // in, for each input, whether it was accepted and the bytes the decoded value
 // re-encodes to, so it pins the accept/reject set and the decoded values.
-// A codec rewrite must leave every pin unchanged. The frame that carries
+// A second digest over the same corpus folds in each rejection's error code
+// and message text. A codec rewrite must leave every pin unchanged. The frame that carries
 // every message (wire v3 header + CRC32C) is pinned here too.
 #include <gtest/gtest.h>
 
@@ -242,6 +243,79 @@ TEST(WireGolden, EncodingsAndDecoderDigestsArePinned) {
   });
   EXPECT_EQ(checked, static_cast<int>(pins().size()));
   if (!report.empty()) std::printf("Current pins:\n%s", report.c_str());
+}
+
+// Digest of the error each decoder returns over the corpus above: for each
+// rejected input, its Err code and message text. Regenerate only for a
+// deliberate change to a decode error; a failing run prints the current
+// values in this layout.
+const std::map<std::string, std::uint64_t>& error_pins() {
+  static const std::map<std::string, std::uint64_t> table = {
+      {"gossip.Registration", 0x2ed8fca12f78e893ULL},
+      {"gossip.Digest", 0xd95a3dce20e7ef66ULL},
+      {"gossip.Delta", 0xcb76e96f740bacefULL},
+      {"gossip.ParentDigest", 0x9872622983c11f48ULL},
+      {"gossip.TypeList", 0x3ac54bfbe1922b1aULL},
+      {"gossip.BlobList", 0xd4d211e456b4c770ULL},
+      {"gossip.PollRequest", 0x4311cf4378aad06cULL},
+      {"gossip.PollReply", 0x199b6257fbdf5795ULL},
+      {"gossip.View", 0x1a24307f536e66a6ULL},
+      {"gossip.Token", 0xbebb2518befbe7cfULL},
+      {"ramsey.WorkSpec", 0x201c8ac24bdcb3d2ULL},
+      {"ramsey.WorkReport", 0x350d59754c805817ULL},
+      {"core.ClientHello", 0x67b0041609e50452ULL},
+      {"core.ReportBatch", 0x3b6f90362bc2ef6bULL},
+      {"core.DirectiveBatch", 0x61e40428b04e1d9fULL},
+      {"core.LogRecord", 0x976c4fa4be1defb1ULL},
+      {"core.StoreRequest", 0xef02433e7cf910edULL},
+      {"core.ServerList", 0xf827caf759ee9f1aULL},
+      {"nws.NwsMeasurement", 0x7c51c176878a5b85ULL},
+      {"nws.NwsForecastReply", 0x1b101dbb80541214ULL},
+      {"wish.SpawnRequest", 0x4987dc36dc9061f6ULL},
+      {"wish.SpawnReply", 0x7ce17eca8884673fULL},
+      {"wish.PollRequest", 0x0f0e869e00a68797ULL},
+      {"wish.PollReply", 0x72c1d1e78ff02147ULL},
+      {"wish.SignalRequest", 0xebd9c10a7505d252ULL},
+      {"wish.SignalReply", 0x3dd83ed399bf6ac1ULL},
+      {"wish.ReapRequest", 0x1de3b6a7b9a004b7ULL},
+      {"wish.ReapReply", 0x10abfc6d59746b97ULL},
+      {"wish.BarrierEnter", 0xd7f08e149d25a3b7ULL},
+      {"wish.BarrierEnterReply", 0x9293141063ed9243ULL},
+      {"wish.BarrierRelease", 0xc963ee47bde2b00aULL},
+      {"wish.LeaderClaim", 0x419a03fa6791a777ULL},
+      {"wish.LeaderReply", 0x6ff3ca6ca65c3561ULL},
+      {"wish.ScatterRequest", 0x2cdcedf0e77dee0bULL},
+      {"wish.ScatterReply", 0x968a964c779b32a2ULL},
+      {"wish.EnvStore", 0x4e60721c26e1385eULL},
+  };
+  return table;
+}
+
+TEST(WireGolden, DecodeErrorMessagesArePinned) {
+  int checked = 0;
+  std::string report;
+  wire_samples::for_each_sample([&](const char* name, const auto& sample) {
+    using T = std::decay_t<decltype(sample)>;
+    Fnv digest;
+    for (const Bytes& input : corpus(name, sample.serialize())) {
+      const auto decoded = T::deserialize(input);
+      if (decoded.ok()) continue;
+      const Error& e = decoded.error();
+      digest.byte(static_cast<std::uint8_t>(e.code));
+      digest.bytes(Bytes(e.message.begin(), e.message.end()));
+    }
+    char line[96];
+    std::snprintf(line, sizeof(line), "0x%016llxULL",
+                  static_cast<unsigned long long>(digest.value()));
+    const auto it = error_pins().find(name);
+    if (it == error_pins().end() || digest.value() != it->second) {
+      ADD_FAILURE() << "error pin mismatch: " << name;
+      report += std::string("      {\"") + name + "\", " + line + "},\n";
+    }
+    ++checked;
+  });
+  EXPECT_EQ(checked, static_cast<int>(error_pins().size()));
+  if (!report.empty()) std::printf("Current error pins:\n%s", report.c_str());
 }
 
 // Every sample the golden pins and the property suite share: a message
