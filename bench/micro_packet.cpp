@@ -1,7 +1,8 @@
 // Microbenchmark for the wire path (DESIGN.md §3, §11, §16).
 //
 // encode_packet and encode_routed_frame write each frame with exactly one
-// allocation, and FrameParser::next_view() parses with none. This harness
+// allocation, and FrameParser::next_view() parses with none, including the
+// call that finds the buffer drained. This harness
 // times the four legs at a small (64 B) and a large (4 KiB) payload and
 // *gates* on the allocation counts — counted by a replacement global
 // operator new (the micro_obs pattern), so the single-allocation/zero-copy
@@ -137,8 +138,9 @@ Leg bench_parse_copy(std::size_t iters, const Bytes& frame) {
   });
 }
 
-/// ns/frame via recv_buffer/commit + next_view — the zero-copy arm. After
-/// the parser's reassembly buffer warms up this path must not allocate.
+/// ns/frame via recv_buffer/commit + next_view — the zero-copy arm — then
+/// one more next_view() on the drained parser, the dispatch loop's exit.
+/// After the parser's reassembly buffer warms up neither may allocate.
 Leg bench_parse_view(std::size_t iters, const Bytes& frame) {
   FrameParser parser;
   return run_leg(iters, [&](std::size_t) {
@@ -146,9 +148,10 @@ Leg bench_parse_view(std::size_t iters, const Bytes& frame) {
     std::memcpy(dst.data(), frame.data(), frame.size());
     parser.commit(frame.size());
     auto view = parser.next_view();
-    return view ? static_cast<double>(view->payload.size() +
-                                      view->payload.back())
-                : -1e9;
+    const double got = view ? static_cast<double>(view->payload.size() +
+                                                  view->payload.back())
+                            : -1e9;
+    return parser.next_view().code() == Err::kUnavailable ? got : -1e9;
   });
 }
 

@@ -2,77 +2,35 @@
 
 namespace ew {
 
-template <typename T>
-Result<T> Reader::read_le() {
-  if (remaining() < sizeof(T)) {
-    return Error{Err::kProtocol, "truncated: need " + std::to_string(sizeof(T)) +
-                                     " bytes, have " + std::to_string(remaining())};
+void Writer::make_room(std::size_t n) {
+  // Within the capacity the buffer has, zero a bounded stretch ahead of the
+  // writes; past it, the vector grows geometrically.
+  buf_.resize(std::max(size_ + n, std::min(buf_.capacity(), size_ + kRoom)));
+}
+
+void Writer::append_past_room(std::span<const std::uint8_t> b) {
+  // A span longer than the room is copied in without zeroing first.
+  buf_.resize(size_);
+  buf_.insert(buf_.end(), b.begin(), b.end());
+  size_ = buf_.size();
+}
+
+Error Reader::error(Field f, std::size_t need) const {
+  switch (f) {
+    case Field::kBool:
+      if (remaining() >= 1) return Error{Err::kProtocol, "bad boolean encoding"};
+      break;
+    case Field::kString:
+      return Error{Err::kProtocol, "string length " + std::to_string(need) +
+                                       " exceeds remaining " + std::to_string(remaining())};
+    case Field::kBlob:
+      return Error{Err::kProtocol, "blob length " + std::to_string(need) +
+                                       " exceeds remaining " + std::to_string(remaining())};
+    case Field::kValue:
+      break;
   }
-  T v = 0;
-  for (std::size_t i = 0; i < sizeof(T); ++i) {
-    v |= static_cast<T>(static_cast<T>(data_[pos_ + i]) << (8 * i));
-  }
-  pos_ += sizeof(T);
-  return v;
-}
-
-Result<std::uint8_t> Reader::u8() { return read_le<std::uint8_t>(); }
-Result<std::uint16_t> Reader::u16() { return read_le<std::uint16_t>(); }
-Result<std::uint32_t> Reader::u32() { return read_le<std::uint32_t>(); }
-Result<std::uint64_t> Reader::u64() { return read_le<std::uint64_t>(); }
-
-Result<std::int32_t> Reader::i32() {
-  auto r = read_le<std::uint32_t>();
-  if (!r) return r.error();
-  return static_cast<std::int32_t>(*r);
-}
-
-Result<std::int64_t> Reader::i64() {
-  auto r = read_le<std::uint64_t>();
-  if (!r) return r.error();
-  return static_cast<std::int64_t>(*r);
-}
-
-Result<double> Reader::f64() {
-  auto r = read_le<std::uint64_t>();
-  if (!r) return r.error();
-  return std::bit_cast<double>(*r);
-}
-
-Result<bool> Reader::boolean() {
-  auto r = read_le<std::uint8_t>();
-  if (!r) return r.error();
-  if (*r > 1) return Error{Err::kProtocol, "bad boolean encoding"};
-  return *r == 1;
-}
-
-Result<std::string> Reader::str() {
-  auto len = u32();
-  if (!len) return len.error();
-  if (remaining() < *len) {
-    return Error{Err::kProtocol, "string length " + std::to_string(*len) +
-                                     " exceeds remaining " + std::to_string(remaining())};
-  }
-  std::string s(reinterpret_cast<const char*>(data_.data() + pos_), *len);
-  pos_ += *len;
-  return s;
-}
-
-Result<Bytes> Reader::blob() {
-  auto len = u32();
-  if (!len) return len.error();
-  return raw(*len);
-}
-
-Result<Bytes> Reader::raw(std::size_t n) {
-  if (remaining() < n) {
-    return Error{Err::kProtocol, "blob length " + std::to_string(n) +
-                                     " exceeds remaining " + std::to_string(remaining())};
-  }
-  Bytes b(data_.begin() + static_cast<std::ptrdiff_t>(pos_),
-          data_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
-  pos_ += n;
-  return b;
+  return Error{Err::kProtocol, "truncated: need " + std::to_string(need) +
+                                   " bytes, have " + std::to_string(remaining())};
 }
 
 }  // namespace ew

@@ -36,6 +36,8 @@
 // field are ignored. Every decode failure is Err::kProtocol.
 #pragma once
 
+#include <bit>
+#include <concepts>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -326,7 +328,7 @@ class Decoder {
   template <class T>
   bool get(T& v) {
     if constexpr (std::is_same_v<T, bool>) {
-      return take(r_.boolean(), v);
+      return r_.get_bool(v) || fail(r_.error(Reader::Field::kBool, 1));
     } else if constexpr (std::is_enum_v<T>) {
       std::underlying_type_t<T> raw{};
       if (!get(raw)) return false;
@@ -334,26 +336,30 @@ class Decoder {
       v = static_cast<T>(raw);
       return true;
     } else if constexpr (std::is_floating_point_v<T>) {
-      return take(r_.f64(), v);
+      std::uint64_t bits = 0;
+      if (!scalar(bits)) return false;
+      v = std::bit_cast<double>(bits);
+      return true;
     } else if constexpr (std::is_integral_v<T>) {
-      if constexpr (sizeof(T) == 1) {
-        return take(r_.u8(), v);
-      } else if constexpr (sizeof(T) == 2) {
-        return take(r_.u16(), v);
-      } else if constexpr (sizeof(T) == 4) {
-        return take(r_.u32(), v);
-      } else {
-        return take(r_.u64(), v);
-      }
+      std::make_unsigned_t<T> u = 0;
+      if (!scalar(u)) return false;
+      v = static_cast<T>(u);
+      return true;
     } else if constexpr (is_as<T>) {
       typename T::wire_type w{};
       if (!get(w)) return false;
       v.value = w;
       return true;
     } else if constexpr (std::is_same_v<T, std::string>) {
-      return take(r_.str(), v);
+      std::span<const std::uint8_t> body;
+      if (!body_of(Reader::Field::kString, body)) return false;
+      v.assign(reinterpret_cast<const char*>(body.data()), body.size());
+      return true;
     } else if constexpr (std::is_same_v<T, Bytes>) {
-      return take(r_.blob(), v);
+      std::span<const std::uint8_t> body;
+      if (!body_of(Reader::Field::kBlob, body)) return false;
+      v.assign(body.begin(), body.end());
+      return true;
     } else if constexpr (is_optional<T>) {
       bool present = false;
       if (!get(present)) return false;
@@ -406,11 +412,17 @@ class Decoder {
   }
   bool fail(const char* what) { return fail(Error{Err::kProtocol, what}); }
 
-  template <class R, class T>
-  bool take(Result<R> r, T& v) {
-    if (!r) return fail(r.error());
-    v = static_cast<T>(std::move(*r));
-    return true;
+  /// An unsigned integer of its own width.
+  template <std::unsigned_integral U>
+  bool scalar(U& u) {
+    return r_.get_le(u) || fail(r_.error(Reader::Field::kValue, sizeof(U)));
+  }
+
+  /// A u32 length, then a view of that many bytes (a string's or a blob's).
+  bool body_of(Reader::Field f, std::span<const std::uint8_t>& body) {
+    std::uint32_t len = 0;
+    if (!scalar(len)) return false;
+    return r_.get_bytes(len, body) || fail(r_.error(f, len));
   }
 
   /// The guard every list shares: the family ceiling, then the bytes left.

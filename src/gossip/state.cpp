@@ -58,17 +58,6 @@ const MergeFn* ComparatorRegistry::merger(MsgType type) const {
   return it == mergers_.end() ? nullptr : &it->second;
 }
 
-const char* merge_outcome_name(MergeOutcome o) {
-  switch (o) {
-    case MergeOutcome::kNew: return "new";
-    case MergeOutcome::kFresher: return "fresher";
-    case MergeOutcome::kEqual: return "equal";
-    case MergeOutcome::kStale: return "stale";
-    case MergeOutcome::kMerged: return "merged";
-  }
-  return "?";
-}
-
 MergeOutcome StateStore::merge(const StateBlob& incoming) {
   const std::uint64_t checksum = content_checksum(incoming.content);
   const MergeFn* merger = comparators_.merger(incoming.type);

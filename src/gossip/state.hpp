@@ -80,7 +80,6 @@ class ComparatorRegistry {
 /// the trigger for pushing a fresh copy back at the component.
 enum class MergeOutcome : std::uint8_t { kNew, kFresher, kEqual, kStale, kMerged };
 
-[[nodiscard]] const char* merge_outcome_name(MergeOutcome o);
 [[nodiscard]] inline bool merge_accepted(MergeOutcome o) {
   return o == MergeOutcome::kNew || o == MergeOutcome::kFresher ||
          o == MergeOutcome::kMerged;

@@ -297,7 +297,7 @@ bool Node::schedule_retry(std::uint64_t call_id) {
 
 void Node::on_packet(IncomingMessage msg) {
   if (msg.packet.kind == PacketKind::kResponse) {
-    on_response(msg);
+    on_response(std::move(msg.packet));
     return;
   }
   auto it = handlers_.find(msg.packet.type);
@@ -333,8 +333,8 @@ void Node::on_packet(IncomingMessage msg) {
   it->second(msg, responder);
 }
 
-void Node::on_response(const IncomingMessage& msg) {
-  const std::uint64_t seq = msg.packet.seq;
+void Node::on_response(Packet response) {
+  const std::uint64_t seq = response.seq;
   const TimePoint now = exec_.now();
 
   if (auto it = pending_.find(seq); it != pending_.end()) {
@@ -349,7 +349,7 @@ void Node::on_response(const IncomingMessage& msg) {
     policy_.on_attempt_result(c.tag, c.to, now, a.sent, rtt, /*ok=*/true);
     if (observer_) observer_(c.to, c.type, rtt, /*success=*/true);
     if (c.hedge_sent) policy_.stats().record_hedge_result(a.is_hedge);
-    deliver_response(a.call_id, msg);
+    deliver_response(a.call_id, std::move(response.payload));
     return;
   }
 
@@ -367,7 +367,7 @@ void Node::on_response(const IncomingMessage& msg) {
     policy_.stats().record_late_response(/*rescued=*/true);
     policy_.on_attempt_result(c.tag, c.to, now, la.sent, now - la.sent,
                               /*ok=*/true);
-    deliver_response(la.call_id, msg);
+    deliver_response(la.call_id, std::move(response.payload));
     return;
   }
 
@@ -383,25 +383,25 @@ void Node::on_response(const IncomingMessage& msg) {
   policy_.stats().record_late_response(/*rescued=*/false);
 }
 
-void Node::deliver_response(std::uint64_t call_id, const IncomingMessage& msg) {
+void Node::deliver_response(std::uint64_t call_id, Bytes payload) {
   auto cit = calls_.find(call_id);
   if (cit == calls_.end()) return;
   CallState& c = cit->second;
 
   // Unwrap the status byte.
-  Reader r(msg.packet.payload);
-  auto code = r.u8();
-  if (!code) {
+  Reader r(payload);
+  std::uint8_t code = 0;
+  if (!r.get_le(code)) {
     complete_call(call_id, Error{Err::kProtocol, "response missing status byte"});
     return;
   }
-  if (*code == 0) {
-    auto body = r.raw(r.remaining());
-    complete_call(call_id, std::move(*body));
+  if (code == 0) {
+    payload.erase(payload.begin());  // the body stays in the payload's buffer
+    complete_call(call_id, std::move(payload));
     return;
   }
   auto message = r.str();
-  Error e{err_from_wire(*code), message ? *message : std::string{}};
+  Error e{err_from_wire(code), message ? *message : std::string{}};
   // An application-level verdict rode a working round trip; resending the
   // same request usually repeats the answer, so only callers that opted in
   // (retry_rejected) burn retry budget on it.

@@ -151,7 +151,7 @@ class Node {
   };
 
   void on_packet(IncomingMessage msg);
-  void on_response(const IncomingMessage& msg);
+  void on_response(Packet response);
   void start_attempt(std::uint64_t call_id, Bytes payload, bool is_hedge);
   void maybe_schedule_hedge(std::uint64_t call_id);
   void on_attempt_timeout(std::uint64_t seq);
@@ -159,7 +159,9 @@ class Node {
   void on_attempt_failed(std::uint64_t call_id, Error err);
   /// Schedule the next retry attempt if budget and deadline allow.
   bool schedule_retry(std::uint64_t call_id);
-  void deliver_response(std::uint64_t call_id, const IncomingMessage& msg);
+  /// Completes a call with a response payload: its status byte, then the
+  /// body (ok) or an error message.
+  void deliver_response(std::uint64_t call_id, Bytes payload);
   /// Single point of delivery: erases the call (cancelling every timer and
   /// orphaning every outstanding seq) and then invokes the callback.
   void complete_call(std::uint64_t call_id, Result<Bytes> result);

@@ -70,9 +70,9 @@ void FrameParser::feed(std::span<const std::uint8_t> data) {
 
 Result<FrameView> FrameParser::peek_frame() {
   if (poisoned_) return Error{Err::kProtocol, "stream previously poisoned"};
-  if (buffered() < wire::kHeaderSize) {
-    return Error{Err::kUnavailable, "need header bytes"};
-  }
+  // Waiting for more bytes is the dispatch loop's normal exit, so it carries
+  // no message to build.
+  if (buffered() < wire::kHeaderSize) return Error{Err::kUnavailable, {}};
   Reader r(std::span<const std::uint8_t>(buf_).subspan(pos_, end_ - pos_));
   const auto magic = r.u32();
   const auto version = r.u8();
@@ -99,9 +99,7 @@ Result<FrameView> FrameParser::peek_frame() {
     return Error{Err::kProtocol, "payload length " + std::to_string(*len) +
                                      " exceeds limit"};
   }
-  if (buffered() < wire::kHeaderSize + *len) {
-    return Error{Err::kUnavailable, "need payload bytes"};
-  }
+  if (buffered() < wire::kHeaderSize + *len) return Error{Err::kUnavailable, {}};
   const auto frame =
       std::span<const std::uint8_t>(buf_).subspan(pos_, wire::kHeaderSize + *len);
   if (*sum != wire::checksum(frame)) {

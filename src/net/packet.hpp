@@ -137,7 +137,8 @@ class FrameParser {
 
   /// Extract the next complete packet, if any.
   /// Returns: packet; or Err::kProtocol if the stream is corrupt; or
-  /// Err::kUnavailable when more bytes are needed (not an error condition).
+  /// Err::kUnavailable, with no message, when more bytes are needed (not an
+  /// error condition).
   Result<Packet> next();
 
   /// Zero-copy variant of next(): the returned view's payload points into

@@ -44,11 +44,6 @@ void TraceRecorder::set_capacity(std::size_t capacity) {
   total_ = 0;
 }
 
-std::size_t TraceRecorder::capacity() const {
-  std::lock_guard lock(mu_);
-  return cap_;
-}
-
 std::uint32_t TraceRecorder::intern(std::string_view s) {
   std::lock_guard lock(mu_);
   auto it = tag_ids_.find(std::string(s));

@@ -80,7 +80,6 @@ class TraceRecorder {
 
   /// Resize the ring; drops recorded events, keeps the intern table.
   void set_capacity(std::size_t capacity);
-  [[nodiscard]] std::size_t capacity() const;
 
   /// Intern a tag string; same string → same id for this recorder's
   /// lifetime (until reset()). Id 0 is reserved for "no tag".

@@ -4,17 +4,6 @@
 
 namespace ew::wish {
 
-const char* job_state_name(JobState s) {
-  switch (s) {
-    case JobState::kQueued: return "queued";
-    case JobState::kRunning: return "running";
-    case JobState::kExited: return "exited";
-    case JobState::kKilled: return "killed";
-    case JobState::kLost: return "lost";
-  }
-  return "?";
-}
-
 std::uint64_t scatter_fold(const Endpoint& self, const Bytes& payload) {
   std::uint64_t h = fnv1a64(self.to_string());
   h ^= fnv1a64(std::string_view(

@@ -75,7 +75,6 @@ enum class JobState : std::uint8_t {
 };
 constexpr std::uint8_t kJobStateCount = 5;
 constexpr int enum_count(JobState) { return kJobStateCount; }
-[[nodiscard]] const char* job_state_name(JobState s);
 [[nodiscard]] inline bool job_state_terminal(JobState s) {
   return s == JobState::kExited || s == JobState::kKilled || s == JobState::kLost;
 }
