@@ -28,9 +28,10 @@ using Bytes = std::vector<std::uint8_t>;
 
 namespace detail {
 
-/// Little-endian store and load in the byte-order-safe shift form, written
-/// out byte by byte so that GCC merges each into a single move (a
-/// byte-swapping one on a big-endian host).
+/// Little-endian store and load in the byte-order-safe shift form: the
+/// bytes are the same on any host. Written out byte by byte (not as a
+/// loop, which GCC does not unroll at -O2) so that GCC merges each into a
+/// single move.
 template <std::unsigned_integral T>
 void store_le(std::uint8_t* p, T v) {
   [&]<std::size_t... I>(std::index_sequence<I...>) {
@@ -91,7 +92,7 @@ class Writer {
     detail::store_le(buf_.data() + offset, v);
   }
 
-  /// The bytes written so far.
+  /// The bytes written so far (drops the zeroed room after them).
   [[nodiscard]] const Bytes& bytes() {
     buf_.resize(size_);
     return buf_;
