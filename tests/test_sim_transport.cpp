@@ -236,6 +236,66 @@ TEST(NetworkModel, ExplicitPairLatencyUsed) {
   EXPECT_EQ(net.sample("a", "b", 0).latency, 123 * kMillisecond);
 }
 
+// Sites are named by set_site, set_base_latency and set_partitioned alike;
+// naming more of them later must not disturb what was set before.
+TEST(NetworkModel, LatenciesAndCutsSetBeforeMoreSitesAreNamedKeepTheirValues) {
+  NetworkModel net(Rng(12));
+  net.set_loss_rate(0.0);
+  net.set_jitter_sigma(0.0);
+  net.set_cross_site_bandwidth(0);
+  net.set_site("a", "s1");
+  net.set_site("b", "s2");
+  net.set_site("c", "s3");
+  net.set_base_latency("s2", "s1", 123 * kMillisecond);
+  net.set_partitioned("s1", "s3", true);
+  for (int i = 0; i < 40; ++i) {
+    net.set_site("h" + std::to_string(i), "x" + std::to_string(i));
+  }
+  net.set_base_latency("x7", "x9", 7 * kMillisecond);
+  EXPECT_EQ(net.sample("a", "b", 0).latency, 123 * kMillisecond);
+  EXPECT_EQ(net.sample("b", "a", 0).latency, 123 * kMillisecond);
+  EXPECT_EQ(net.sample("h9", "h7", 0).latency, 7 * kMillisecond);
+  EXPECT_EQ(net.sample("b", "c", 0).latency, 40 * kMillisecond);  // cross default
+  EXPECT_EQ(net.sample("h1", "h1", 0).latency, 1 * kMillisecond);  // same default
+  EXPECT_TRUE(net.partitioned("s1", "s3"));
+  EXPECT_TRUE(net.partitioned("s3", "s1"));
+  EXPECT_FALSE(net.sample("a", "c", 0).deliver);
+  EXPECT_FALSE(net.sample("c", "a", 0).deliver);
+  EXPECT_EQ(net.site_of("a"), "s1");
+  EXPECT_EQ(net.site_of("h39"), "x39");
+  EXPECT_EQ(net.site_of("never-named"), "wan");
+}
+
+TEST(NetworkModel, PartitionedOfASiteNeverNamedReadsFalse) {
+  NetworkModel net(Rng(13));
+  net.set_site("a", "s1");
+  net.set_partitioned("s1", "s2", true);
+  EXPECT_FALSE(net.partitioned("nowhere", "elsewhere"));
+  EXPECT_FALSE(net.partitioned("s1", "nowhere"));
+  EXPECT_FALSE(net.partitioned("nowhere", "s1"));
+  EXPECT_FALSE(net.partitioned("nowhere", "nowhere"));
+  EXPECT_TRUE(net.partitioned("s2", "s1"));
+}
+
+TEST(NetworkModel, CutsAreOrderInsensitiveAfterTheTableGrows) {
+  NetworkModel net(Rng(14));
+  net.set_loss_rate(0.0);
+  net.set_site("a", "s1");
+  net.set_site("b", "s2");
+  net.set_partitioned("s2", "s1", true);
+  for (int i = 0; i < 40; ++i) net.set_site("h" + std::to_string(i), "x" + std::to_string(i));
+  EXPECT_TRUE(net.partitioned("s1", "s2"));
+  EXPECT_TRUE(net.partitioned("s2", "s1"));
+  EXPECT_FALSE(net.sample("a", "b", 0).deliver);
+  net.set_partitioned("x3", "x30", true);
+  net.set_partitioned("s1", "s2", false);  // restored from the other order
+  EXPECT_FALSE(net.partitioned("s1", "s2"));
+  EXPECT_FALSE(net.partitioned("s2", "s1"));
+  EXPECT_TRUE(net.sample("b", "a", 0).deliver);
+  EXPECT_TRUE(net.partitioned("x30", "x3"));
+  EXPECT_FALSE(net.sample("h30", "h3", 0).deliver);
+}
+
 // --- SimTransport -----------------------------------------------------------------
 
 class SimTransportTest : public ::testing::Test {
@@ -307,6 +367,63 @@ TEST_F(SimTransportTest, UnbindDropsInFlight) {
   transport.unbind(Endpoint{"b", 1});
   events.run_until_idle();
   EXPECT_FALSE(delivered);
+}
+
+// The handler is looked up when the packet lands, not when it was sent.
+TEST_F(SimTransportTest, RebindBetweenSendAndDeliveryReachesTheNewHandler) {
+  int old_handler = 0;
+  int new_handler = 0;
+  transport.bind(Endpoint{"b", 1}, [&](IncomingMessage) { ++old_handler; });
+  net.set_site("a", "s1");
+  net.set_site("b", "s2");
+  ASSERT_TRUE(transport.send(Endpoint{"a", 1}, Endpoint{"b", 1}, Packet{}).ok());
+  transport.unbind(Endpoint{"b", 1});
+  transport.bind(Endpoint{"b", 1}, [&](IncomingMessage) { ++new_handler; });
+  events.run_until_idle();
+  EXPECT_EQ(old_handler, 0);
+  EXPECT_EQ(new_handler, 1);
+}
+
+TEST_F(SimTransportTest, HostDownAndBackUpInFlightStillReceives) {
+  bool delivered = false;
+  transport.bind(Endpoint{"b", 1}, [&](IncomingMessage) { delivered = true; });
+  net.set_site("a", "s1");
+  net.set_site("b", "s2");
+  ASSERT_TRUE(transport.send(Endpoint{"a", 1}, Endpoint{"b", 1}, Packet{}).ok());
+  transport.set_host_up("b", false);
+  transport.set_host_up("b", true);
+  events.run_until_idle();
+  EXPECT_TRUE(delivered);
+}
+
+// A handler that sends while its own packet is being delivered: every packet
+// it sends lands intact and in send order.
+TEST_F(SimTransportTest, SendsFromInsideADeliveryArriveIntactAndInOrder) {
+  constexpr int kFanOut = 100;
+  std::vector<IncomingMessage> got;
+  transport.bind(Endpoint{"c", 3}, [&](IncomingMessage m) { got.push_back(std::move(m)); });
+  transport.bind(Endpoint{"b", 2}, [&](IncomingMessage m) {
+    for (int i = 0; i < kFanOut; ++i) {
+      Packet p;
+      p.type = static_cast<MsgType>(1000 + i);
+      p.seq = m.packet.seq + static_cast<std::uint64_t>(i);
+      p.payload = Bytes(static_cast<std::size_t>(i + 1), static_cast<std::uint8_t>(i));
+      ASSERT_TRUE(transport.send(Endpoint{"b", 2}, Endpoint{"c", 3}, std::move(p)).ok());
+    }
+  });
+  Packet first;
+  first.seq = 7;
+  ASSERT_TRUE(transport.send(Endpoint{"a", 1}, Endpoint{"b", 2}, first).ok());
+  events.run_until_idle();
+  ASSERT_EQ(got.size(), static_cast<std::size_t>(kFanOut));
+  for (int i = 0; i < kFanOut; ++i) {
+    const IncomingMessage& m = got[static_cast<std::size_t>(i)];
+    EXPECT_EQ(m.from, (Endpoint{"b", 2}));
+    EXPECT_EQ(m.packet.type, 1000 + i);
+    EXPECT_EQ(m.packet.seq, 7u + static_cast<std::uint64_t>(i));
+    EXPECT_EQ(m.packet.payload,
+              Bytes(static_cast<std::size_t>(i + 1), static_cast<std::uint8_t>(i)));
+  }
 }
 
 TEST_F(SimTransportTest, DoubleBindRejected) {
