@@ -11,15 +11,23 @@ TimerId EventQueue::schedule(Duration delay, std::function<void()> fn) {
 
 void EventQueue::cancel(TimerId id) { timers_.cancel(id); }
 
+std::uint32_t EventQueue::label_id(const std::string& label) {
+  if (label.empty()) return 0;
+  auto [it, inserted] =
+      label_ids_.try_emplace(label, static_cast<std::uint32_t>(labels_.size()));
+  if (inserted) labels_.push_back(label);
+  return it->second;
+}
+
 void EventQueue::fire(Timers::Timer ev) {
   clock_.set(ev.at);
   ++executed_;
   // Label inheritance: everything the closure schedules belongs to the same
   // host the firing event acted on (unless a nested LabelScope overrides).
-  std::string prev = std::move(schedule_label_);
-  schedule_label_ = std::move(ev.tag);
+  const std::uint32_t prev = schedule_label_;
+  schedule_label_ = ev.tag;
   ev.fn();
-  schedule_label_ = std::move(prev);
+  schedule_label_ = prev;
 }
 
 bool EventQueue::step() {
@@ -30,8 +38,8 @@ bool EventQueue::step() {
 
 std::vector<EventQueue::EligibleEvent> EventQueue::eligible() const {
   std::vector<EligibleEvent> out;
-  timers_.for_each_earliest([&](TimerId id, TimePoint at, const std::string& label) {
-    out.push_back({id, at, label});
+  timers_.for_each_earliest([&](TimerId id, TimePoint at, std::uint32_t label) {
+    out.push_back({id, at, labels_[label]});
   });
   return out;
 }

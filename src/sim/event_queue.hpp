@@ -15,11 +15,15 @@
 // running event's label — so a packet-delivery closure labelled with the
 // destination host labels everything the handler schedules in turn. The
 // default step()/run_until() path is unchanged: FIFO order, bit-identical
-// with pre-choice-point builds.
+// with pre-choice-point builds. Labels are interned to u32 ids (0 is the
+// empty label): an event carries its id as its TimerQueue tag, and only
+// eligible() turns ids back into names.
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/clock.hpp"
@@ -69,29 +73,35 @@ class EventQueue final : public Executor {
   /// sibling that ran before it, so callers must re-read eligible().
   bool step_event(TimerId id);
 
+  /// The id of `label`, interned on first use; "" is always 0.
+  std::uint32_t label_id(const std::string& label);
+
   /// While in scope, events scheduled on this queue are stamped with
   /// `label` (the host they act on) for the model checker's independence
   /// relation. Nests: the previous label is restored on destruction.
   class LabelScope {
    public:
     LabelScope(EventQueue& q, std::string label)
-        : q_(q), prev_(std::move(q.schedule_label_)) {
-      q_.schedule_label_ = std::move(label);
+        : LabelScope(q, q.label_id(label)) {}
+    /// Stamp with a label id from label_id(), without hashing the name.
+    LabelScope(EventQueue& q, std::uint32_t label)
+        : q_(q), prev_(q.schedule_label_) {
+      q_.schedule_label_ = label;
     }
-    ~LabelScope() { q_.schedule_label_ = std::move(prev_); }
+    ~LabelScope() { q_.schedule_label_ = prev_; }
     LabelScope(const LabelScope&) = delete;
     LabelScope& operator=(const LabelScope&) = delete;
 
    private:
     EventQueue& q_;
-    std::string prev_;
+    std::uint32_t prev_;
   };
 
   [[nodiscard]] std::size_t pending() const { return timers_.size(); }
   [[nodiscard]] std::size_t executed() const { return executed_; }
 
  private:
-  using Timers = TimerQueue<std::string>;  // tag: the event's label
+  using Timers = TimerQueue<std::uint32_t>;  // tag: the event's label id
 
   /// Run one event already taken out of the queue (so a self-cancel is a
   /// no-op). Shared by step() and step_event(): advances the clock and
@@ -101,7 +111,9 @@ class EventQueue final : public Executor {
   VirtualClock clock_;
   Timers timers_;
   std::size_t executed_ = 0;
-  std::string schedule_label_;  // stamped on newly scheduled events
+  std::uint32_t schedule_label_ = 0;  // stamped on newly scheduled events
+  std::vector<std::string> labels_{""};  // by label id
+  std::unordered_map<std::string, std::uint32_t> label_ids_;
 };
 
 }  // namespace ew::sim

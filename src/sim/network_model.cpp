@@ -5,53 +5,89 @@
 
 namespace ew::sim {
 
-namespace {
-const std::string kDefaultSite = "wan";
+NetworkModel::NetworkModel(Rng rng) : rng_(rng) { site("wan"); }
+
+NetworkModel::SiteId NetworkModel::site(const std::string& name) {
+  auto [it, inserted] =
+      site_ids_.try_emplace(name, static_cast<SiteId>(site_names_.size()));
+  if (!inserted) return it->second;
+  site_names_.push_back(name);
+  const std::size_t n = site_names_.size();
+  if (n > stride_) {
+    // Re-lay the table at twice the row length; every pair keeps its cell.
+    const std::size_t stride = std::max<std::size_t>(8, 2 * stride_);
+    std::vector<Link> links(stride * stride);
+    for (std::size_t a = 0; a + 1 < n; ++a) {
+      std::copy_n(links_.begin() + static_cast<std::ptrdiff_t>(a * stride_), n - 1,
+                  links.begin() + static_cast<std::ptrdiff_t>(a * stride));
+    }
+    links_.swap(links);
+    stride_ = stride;
+  }
+  return it->second;
 }
 
-void NetworkModel::set_site(const std::string& host, const std::string& site) {
-  host_site_[host] = site;
+NetworkModel::SiteId NetworkModel::find_site(const std::string& name) const {
+  auto it = site_ids_.find(name);
+  return it == site_ids_.end() ? kNoSite : it->second;
 }
 
-const std::string& NetworkModel::site_of(const std::string& host) const {
-  auto it = host_site_.find(host);
-  return it == host_site_.end() ? kDefaultSite : it->second;
+NetworkModel::SiteId NetworkModel::site_of_host(const std::string& host) const {
+  auto it = host_ids_.find(host);
+  return it == host_ids_.end() ? 0 : host_site_[it->second];
 }
 
-std::pair<std::string, std::string> NetworkModel::ordered(std::string a,
-                                                          std::string b) {
-  if (b < a) std::swap(a, b);
-  return {std::move(a), std::move(b)};
+NetworkModel::HostId NetworkModel::host(const std::string& name) {
+  auto [it, inserted] =
+      host_ids_.try_emplace(name, static_cast<HostId>(host_site_.size()));
+  if (inserted) host_site_.push_back(0);
+  return it->second;
+}
+
+void NetworkModel::set_site(const std::string& host_name, const std::string& site_name) {
+  const SiteId s = site(site_name);
+  host_site_[host(host_name)] = s;
+}
+
+const std::string& NetworkModel::site_of(const std::string& host_name) const {
+  return site_names_[site_of_host(host_name)];
 }
 
 void NetworkModel::set_base_latency(const std::string& a, const std::string& b,
                                     Duration d) {
-  base_[ordered(a, b)] = d;
+  const SiteId x = site(a);
+  const SiteId y = site(b);
+  set_link(x, y, [d](Link& l) {
+    l.base = d;
+    l.has_base = true;
+  });
 }
 
 void NetworkModel::set_partitioned(const std::string& a, const std::string& b,
                                    bool cut) {
-  auto [x, y] = ordered(a, b);
-  const std::string key = x + "|" + y;
-  if (cut) {
-    cuts_.insert(key);
-  } else {
-    cuts_.erase(key);
-  }
+  const SiteId x = site(a);
+  const SiteId y = site(b);
+  set_link(x, y, [cut](Link& l) { l.cut = cut; });
 }
 
 bool NetworkModel::partitioned(const std::string& a, const std::string& b) const {
-  auto [x, y] = ordered(a, b);
-  return cuts_.contains(x + "|" + y);
+  const SiteId x = find_site(a);
+  const SiteId y = find_site(b);
+  if (x == kNoSite || y == kNoSite) return false;
+  return links_[x * stride_ + y].cut;
 }
 
 NetworkModel::Delivery NetworkModel::sample(const std::string& from_host,
                                             const std::string& to_host,
                                             std::size_t bytes) {
-  const std::string& sa = site_of(from_host);
-  const std::string& sb = site_of(to_host);
+  return sample_sites(site_of_host(from_host), site_of_host(to_host), bytes);
+}
+
+NetworkModel::Delivery NetworkModel::sample_sites(SiteId sa, SiteId sb,
+                                                  std::size_t bytes) {
+  const Link& link = links_[sa * stride_ + sb];
   Delivery out;
-  if (partitioned(sa, sb)) {
+  if (link.cut) {
     out.deliver = false;
     return out;
   }
@@ -61,12 +97,9 @@ NetworkModel::Delivery NetworkModel::sample(const std::string& from_host,
     out.deliver = false;
     return out;
   }
-  Duration base;
-  if (auto it = base_.find(ordered(sa, sb)); it != base_.end()) {
-    base = it->second;
-  } else {
-    base = (sa == sb) ? same_site_ : cross_site_;
-  }
+  const Duration base = link.has_base ? link.base
+                        : sa == sb    ? same_site_
+                                      : cross_site_;
   double latency = static_cast<double>(base) * congestion_;
   if (sa != sb && bandwidth_ > 0) {
     latency += static_cast<double>(bytes) / bandwidth_ * congestion_ *

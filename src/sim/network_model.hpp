@@ -7,11 +7,19 @@
 // produce the fluctuating response times the forecasting layer must track;
 // partitions cut site pairs entirely (exercising the clique protocol's
 // subclique/merge behaviour).
+//
+// Site names are interned to dense ids as they are first named (by
+// set_site, set_base_latency or set_partitioned), and every site pair's
+// latency and cut live in one flat site x site table, kept symmetric, so a
+// sample reads one cell. Hosts get dense ids too (host()): SimTransport
+// samples by id and hashes no string per packet.
 #pragma once
 
+#include <cstdint>
+#include <deque>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
+#include <vector>
 
 #include "common/clock.hpp"
 #include "common/rng.hpp"
@@ -21,11 +29,18 @@ namespace ew::sim {
 
 class NetworkModel {
  public:
-  explicit NetworkModel(Rng rng) : rng_(rng) {}
+  /// Dense id of a host name, from host().
+  using HostId = std::uint32_t;
+
+  explicit NetworkModel(Rng rng);
 
   /// Assign a host name to a site. Unassigned hosts live on site "wan".
   void set_site(const std::string& host, const std::string& site);
   [[nodiscard]] const std::string& site_of(const std::string& host) const;
+
+  /// The id of `host`, interned on first use. A later set_site() still
+  /// moves the host: the id names the host, not its site.
+  HostId host(const std::string& name);
 
   /// Base one-way latency between two sites (order-insensitive).
   void set_base_latency(const std::string& a, const std::string& b, Duration d);
@@ -63,20 +78,40 @@ class NetworkModel {
   /// Sample a delivery between two hosts for a message of `bytes` size.
   Delivery sample(const std::string& from_host, const std::string& to_host,
                   std::size_t bytes);
+  Delivery sample(HostId from, HostId to, std::size_t bytes) {
+    return sample_sites(host_site_[from], host_site_[to], bytes);
+  }
 
  private:
-  struct PairHash {
-    std::size_t operator()(const std::pair<std::string, std::string>& p) const {
-      return std::hash<std::string>{}(p.first) * 1000003u ^
-             std::hash<std::string>{}(p.second);
-    }
+  using SiteId = std::uint32_t;
+  static constexpr SiteId kNoSite = UINT32_MAX;
+
+  /// One site pair: its explicit base latency, if any, and whether it is cut.
+  struct Link {
+    Duration base = 0;
+    bool has_base = false;
+    bool cut = false;
   };
-  static std::pair<std::string, std::string> ordered(std::string a, std::string b);
+
+  /// Intern `name`, growing the table when it is new.
+  SiteId site(const std::string& name);
+  [[nodiscard]] SiteId find_site(const std::string& name) const;
+  [[nodiscard]] SiteId site_of_host(const std::string& host) const;
+  /// Both cells of the pair, (a, b) then (b, a), get `set`.
+  template <typename F>
+  void set_link(SiteId a, SiteId b, F set) {
+    set(links_[a * stride_ + b]);
+    set(links_[b * stride_ + a]);
+  }
+  Delivery sample_sites(SiteId a, SiteId b, std::size_t bytes);
 
   Rng rng_;
-  std::unordered_map<std::string, std::string> host_site_;
-  std::unordered_map<std::pair<std::string, std::string>, Duration, PairHash> base_;
-  std::unordered_set<std::string> cuts_;  // "a|b" ordered keys
+  std::deque<std::string> site_names_;  // by SiteId; 0 is "wan"
+  std::unordered_map<std::string, SiteId> site_ids_;
+  std::unordered_map<std::string, HostId> host_ids_;
+  std::vector<SiteId> host_site_;  // by HostId
+  std::vector<Link> links_;        // site x site, row-major, row length stride_
+  std::size_t stride_ = 0;         // >= site count; doubles as sites are named
   Duration same_site_ = 1 * kMillisecond;
   Duration cross_site_ = 40 * kMillisecond;
   double congestion_ = 1.0;
