@@ -73,8 +73,11 @@ class EventForecasterBank {
   [[nodiscard]] std::size_t tracked_events() const { return bank_.size(); }
   [[nodiscard]] bool knows(const EventTag& tag) const { return bank_.contains(tag); }
 
- private:
+  /// The event's forecaster, created on first use. The reference stays
+  /// valid for the bank's lifetime, so callers may keep it.
   AdaptiveForecaster& stream(const EventTag& tag);
+
+ private:
   std::unordered_map<EventTag, AdaptiveForecaster, EventTagHash> bank_;
 };
 

@@ -40,26 +40,24 @@ void AdaptiveForecaster::observe(double value) {
     predictions_[i] = battery_[i]->observe(value);
   }
   ++samples_;
+  best_ = best_index();
   if (trace_tag_ != 0) note_method_switch();
 }
 
 void AdaptiveForecaster::enable_method_switch_trace(std::uint32_t trace_tag) {
   trace_tag_ = trace_tag;
-  last_best_ = best_index();
+  last_best_ = best_;
 }
 
 void AdaptiveForecaster::note_method_switch() {
-  // Off the untraced hot path: only streams that opted in pay the O(battery)
-  // best-index scan per observation.
-  const std::size_t best = best_index();
-  if (best == last_best_) return;
+  if (best_ == last_best_) return;
   const std::size_t prev = last_best_;
-  last_best_ = best;
+  last_best_ = best_;
   obs::registry().counter(obs::names::kForecastMethodSwitches).inc();
   obs::trace().record(static_cast<std::int64_t>(samples_),
                       obs::SpanKind::kForecastMethodSwitch, trace_tag_,
                       static_cast<std::int64_t>(prev),
-                      static_cast<std::int64_t>(best));
+                      static_cast<std::int64_t>(best_));
 }
 
 void AdaptiveForecaster::observe(std::span<const double> values) {
@@ -93,10 +91,9 @@ Forecast AdaptiveForecaster::forecast() const {
   Forecast f;
   f.samples = samples_;
   if (samples_ == 0) return f;
-  const std::size_t best = best_index();
-  f.value = predictions_[best];
-  f.error = errors_[best].mae();
-  f.method = names_[best];
+  f.value = predictions_[best_];
+  f.error = errors_[best_].mae();
+  f.method = names_[best_];
   return f;
 }
 

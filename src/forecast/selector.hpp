@@ -12,8 +12,10 @@
 // predictions against the new truth (plain array reads, no virtual calls)
 // and then makes exactly one virtual call per method — observe(), which
 // updates the method incrementally and hands back the refreshed standing
-// prediction. forecast() is allocation-free: the method name is an interned
-// string_view into storage owned by this selector.
+// prediction. observe() also settles the best method once, so forecast()
+// (the sim asks for one twice per observation) reads a cached index and
+// scans nothing. forecast() is allocation-free: the method name is an
+// interned string_view into storage owned by this selector.
 #pragma once
 
 #include <cstdint>
@@ -85,6 +87,8 @@ class AdaptiveForecaster {
   // it).
   std::vector<std::string> names_;
   std::size_t samples_ = 0;
+  // best_index() as of the last observe(); what forecast() answers with.
+  std::size_t best_ = 0;
   // Method-switch tracing (0 = off). last_best_ tracks the previously
   // winning method so observe() can detect the regime change itself.
   std::uint32_t trace_tag_ = 0;

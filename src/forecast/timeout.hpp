@@ -14,6 +14,7 @@
 #pragma once
 
 #include <algorithm>
+#include <optional>
 
 #include "common/clock.hpp"
 #include "forecast/dynamic_benchmark.hpp"
@@ -60,6 +61,9 @@ class AdaptiveTimeout final : public TimeoutPolicy {
 
   AdaptiveTimeout() : AdaptiveTimeout(Options{}) {}
   explicit AdaptiveTimeout(Options opts) : opts_(opts) {}
+  // Records point into bank_; a copy would point into the original's.
+  AdaptiveTimeout(const AdaptiveTimeout&) = delete;
+  AdaptiveTimeout& operator=(const AdaptiveTimeout&) = delete;
 
   [[nodiscard]] Duration timeout(const EventTag& tag) const override;
   void on_result(const EventTag& tag, Duration rtt, bool ok) override;
@@ -92,12 +96,21 @@ class AdaptiveTimeout final : public TimeoutPolicy {
   };
 
  private:
+  /// Everything kept per event tag, found with one lookup: its forecaster
+  /// (owned by bank_) and its trailing RTT window for the tail-quantile
+  /// term, ordered incrementally so timeout() reads the quantile in O(1).
+  /// The window holds successes only, so it is built at the first one: a
+  /// tag that only ever fails (a dead server) never pays for it.
+  struct TagRecord {
+    AdaptiveForecaster* forecaster;
+    std::optional<OrderedWindow> tail;
+  };
+  /// timeout() of a tag with record `rec`, or of an unknown tag (nullptr).
+  [[nodiscard]] Duration timeout(const TagRecord* rec) const;
+
   Options opts_;
   EventForecasterBank bank_;
-  // Per-tag trailing RTT windows for the tail-quantile term. Ordered
-  // incrementally so timeout() reads the quantile in O(1) instead of
-  // copying and partially sorting the window on every request.
-  mutable std::unordered_map<EventTag, OrderedWindow, EventTagHash> tails_;
+  std::unordered_map<EventTag, TagRecord, EventTagHash> tags_;
 };
 
 }  // namespace ew

@@ -102,7 +102,7 @@ void CircuitBreaker::trip(TimePoint now) {
 }
 
 CircuitBreaker& CircuitBreakerBank::at(const Endpoint& to) {
-  return by_dest_.try_emplace(to.to_string(), opts_).first->second;
+  return by_dest_.try_emplace(to, opts_).first->second;
 }
 
 AggregateCallStats::AggregateCallStats()

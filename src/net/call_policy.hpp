@@ -133,29 +133,29 @@ struct CallOptions {
 class CallStatsSink {
  public:
   virtual ~CallStatsSink() = default;
-  virtual void record_call_start() {}
+  virtual void record_call_start() = 0;
   /// ok=false covers timeouts, transport failures, rejections, shed calls.
-  virtual void record_call_end(bool /*ok*/, Duration /*latency*/) {}
+  virtual void record_call_end(bool ok, Duration latency) = 0;
   /// One network attempt issued. `retry` marks attempts after the first;
   /// `hedge` marks forecast-triggered duplicates.
-  virtual void record_attempt(bool /*retry*/, bool /*hedge*/) {}
+  virtual void record_attempt(bool retry, bool hedge) = 0;
   /// An attempt timer fired after waiting `timeout`.
-  virtual void record_timeout(Duration /*timeout*/) {}
+  virtual void record_timeout(Duration timeout) = 0;
   /// A response arrived for an attempt that had already timed out. `rescued`
   /// means the call was still live and the response completed it.
-  virtual void record_late_response(bool /*rescued*/) {}
+  virtual void record_late_response(bool rescued) = 0;
   /// A response for an attempt cancelled by retry/hedge completion arrived
   /// after its call finished; it was dropped, not delivered twice.
-  virtual void record_duplicate_response() {}
+  virtual void record_duplicate_response() = 0;
   /// A hedged call completed; `hedge_won` tells whether the duplicate beat
   /// the original.
-  virtual void record_hedge_result(bool /*hedge_won*/) {}
+  virtual void record_hedge_result(bool hedge_won) = 0;
   /// A call was shed without a network attempt because the destination's
   /// circuit breaker was open.
-  virtual void record_short_circuit() {}
+  virtual void record_short_circuit() = 0;
   /// A destination's circuit breaker changed state. `from`/`to` are
   /// CircuitBreaker::State values cast to int.
-  virtual void record_breaker_transition(int /*from*/, int /*to*/) {}
+  virtual void record_breaker_transition(int from, int to) = 0;
 };
 
 /// Default sink: a registry-backed adapter. Every record_* lands in named
@@ -309,7 +309,7 @@ class CircuitBreakerBank {
 
  private:
   CircuitBreaker::Options opts_;
-  std::unordered_map<std::string, CircuitBreaker> by_dest_;
+  std::unordered_map<Endpoint, CircuitBreaker, EndpointHash> by_dest_;
 };
 
 /// Everything a Node consults before, during and after a call: the adaptive

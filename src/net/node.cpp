@@ -30,7 +30,9 @@ void Responder::fail(Err code, const std::string& message) const {
 }
 
 void Responder::emit(std::uint8_t code, const Bytes& payload) const {
-  if (send_) send_(code, payload);
+  if (!reply_ || reply_->sent) return;
+  reply_->sent = true;
+  reply_->node->send_reply(*reply_, code, payload);
 }
 
 Node::Node(Executor& exec, Transport& transport, Endpoint self)
@@ -303,34 +305,30 @@ void Node::on_packet(IncomingMessage msg) {
   auto it = handlers_.find(msg.packet.type);
   Responder responder;
   if (msg.packet.kind == PacketKind::kRequest) {
-    // `fired` makes double replies harmless, per the Responder contract.
-    auto fired = std::make_shared<bool>(false);
-    const Endpoint from = msg.from;
-    const std::uint64_t seq = msg.packet.seq;
-    const MsgType type = msg.packet.type;
-    responder = Responder([this, fired, from, seq, type](std::uint8_t code,
-                                                         const Bytes& body) {
-      if (*fired) return;
-      *fired = true;
-      Packet reply;
-      reply.kind = PacketKind::kResponse;
-      reply.type = type;
-      reply.seq = seq;
-      Writer w(1 + body.size());
-      w.u8(code);
-      w.raw(body);
-      reply.payload = w.take();
-      Status s = transport_.send(self_, from, std::move(reply));
-      if (!s.ok()) {
-        EW_DEBUG << "reply to " << from.to_string() << " failed: " << s.to_string();
-      }
-    });
+    responder = Responder(std::make_shared<Responder::Reply>(Responder::Reply{
+        this, msg.from, msg.packet.seq, msg.packet.type, false}));
   }
   if (it == handlers_.end()) {
     responder.fail(Err::kRejected, "no handler for type " + std::to_string(msg.packet.type));
     return;
   }
   it->second(msg, responder);
+}
+
+void Node::send_reply(const Responder::Reply& reply, std::uint8_t code,
+                      const Bytes& body) {
+  Packet packet;
+  packet.kind = PacketKind::kResponse;
+  packet.type = reply.type;
+  packet.seq = reply.seq;
+  Writer w(1 + body.size());
+  w.u8(code);
+  w.raw(body);
+  packet.payload = w.take();
+  Status s = transport_.send(self_, reply.to, std::move(packet));
+  if (!s.ok()) {
+    EW_DEBUG << "reply to " << reply.to.to_string() << " failed: " << s.to_string();
+  }
 }
 
 void Node::on_response(Packet response) {

@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -41,21 +42,34 @@
 
 namespace ew {
 
+class Node;
+
 /// Reply hook handed to server handlers. A handler must call exactly one of
 /// ok()/fail() (calling neither times the client out; calling both is
-/// ignored after the first). Copyable so handlers can defer replies.
+/// ignored after the first). Copyable so handlers can defer replies: the
+/// copies share one reply record, which says where the reply goes and
+/// whether it has gone. A default-constructed Responder (one-way messages)
+/// sends nothing.
 class Responder {
  public:
-  using SendFn = std::function<void(std::uint8_t code, const Bytes& payload)>;
   Responder() = default;
-  explicit Responder(SendFn send) : send_(std::move(send)) {}
 
   void ok(const Bytes& payload = {}) const { emit(0, payload); }
   void fail(Err code, const std::string& message = {}) const;
 
  private:
+  friend class Node;
+  struct Reply {
+    Node* node = nullptr;
+    Endpoint to;
+    std::uint64_t seq = 0;
+    MsgType type = 0;
+    bool sent = false;
+  };
+  explicit Responder(std::shared_ptr<Reply> reply) : reply_(std::move(reply)) {}
+
   void emit(std::uint8_t code, const Bytes& payload) const;
-  SendFn send_;
+  std::shared_ptr<Reply> reply_;
 };
 
 class Node {
@@ -115,6 +129,8 @@ class Node {
   [[nodiscard]] std::size_t outstanding_calls() const { return calls_.size(); }
 
  private:
+  friend class Responder;
+
   /// One logical call: callback, policy, and the attempt bookkeeping that
   /// guarantees single delivery across retries and hedges.
   struct CallState {
@@ -151,6 +167,9 @@ class Node {
   };
 
   void on_packet(IncomingMessage msg);
+  /// Send the response `code` + `body` that `reply` describes.
+  void send_reply(const Responder::Reply& reply, std::uint8_t code,
+                  const Bytes& body);
   void on_response(Packet response);
   void start_attempt(std::uint64_t call_id, Bytes payload, bool is_hedge);
   void maybe_schedule_hedge(std::uint64_t call_id);
