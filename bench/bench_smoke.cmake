@@ -28,9 +28,10 @@ if(NOT rc_ramsey EQUAL 0)
   message(FATAL_ERROR "micro_ramsey --quick failed (exit ${rc_ramsey})")
 endif()
 
-# Timer core: --quick runs a few rounds at both queue depths; non-zero exit
-# means TimerQueue popped out of (deadline, id) order or allocated while
-# adding or popping timers.
+# Timer core: --quick runs a few rounds at both queue depths and of the
+# sim_deliver leg; non-zero exit means TimerQueue popped out of (deadline,
+# id) order or allocated while adding or popping timers, or a warmed-up
+# SimTransport send plus EventQueue delivery allocated at all.
 execute_process(COMMAND ${MICRO_TIMER} --quick RESULT_VARIABLE rc_timer)
 if(NOT rc_timer EQUAL 0)
   message(FATAL_ERROR "micro_timer --quick failed (exit ${rc_timer})")

@@ -11,15 +11,24 @@
 // over the timed add and pop legs and reported per event (one add plus one
 // pop), for a small closure that captures one pointer.
 //
-// The timings are a baseline, not a gate. Two checks exit 1: a round's pops
-// leaving (deadline, id) order, and any allocation in the timed legs.
+// The sim_deliver leg drives the sim's packet path on top of the same core:
+// SimTransport::send into an EventQueue over a quiet NetworkModel (no loss,
+// no jitter), then delivery to a bound handler, in rounds of K packets. The
+// handler hands each payload buffer back to the sender's pool, so the
+// packets themselves allocate nothing; after one warm-up round every
+// allocation counted is the transport's or the queue's own.
+//
+// The timings are a baseline, not a gate. Three checks exit 1: a round's
+// pops leaving (deadline, id) order, any allocation in the timed timer legs,
+// and any allocation in the timed sim_deliver rounds.
 // Emits ONE machine-readable JSON line (see EXPERIMENTS.md, "Timer-queue
 // microbenchmark"):
 //
 //   {"bench":"micro_timer","rounds":...,"batch":...,
 //    "ns_add_1k":...,"ns_cancel_1k":...,"ns_pop_1k":...,
 //    "ns_add_100k":...,"ns_cancel_100k":...,"ns_pop_100k":...,
-//    "allocs_per_event":...,"checksum":...}
+//    "allocs_per_event":...,"ns_sim_deliver":...,
+//    "sim_deliver_allocs_per_packet":...,"checksum":...}
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -32,6 +41,9 @@
 #include "bench/bench_util.hpp"
 #include "common/rng.hpp"
 #include "net/timer_queue.hpp"
+#include "sim/event_queue.hpp"
+#include "sim/network_model.hpp"
+#include "sim/sim_transport.hpp"
 
 // Program-wide allocation counter (replaces the global operator new) so the
 // allocations per event are measured, not assumed.
@@ -132,6 +144,59 @@ DepthResult run_depth(std::size_t depth, std::size_t batch, std::size_t rounds,
   return r;
 }
 
+struct DeliverResult {
+  double ns_per_packet = 0;
+  std::uint64_t packets = 0;  // delivered in the timed rounds
+  std::uint64_t allocs = 0;   // during the timed rounds
+};
+
+DeliverResult run_sim_deliver(std::size_t batch, std::size_t rounds,
+                              std::uint64_t& sink) {
+  constexpr std::size_t kPayload = 64;
+  sim::EventQueue events;
+  sim::NetworkModel network(Rng(7));
+  network.set_loss_rate(0.0);
+  network.set_jitter_sigma(0.0);
+  sim::SimTransport transport(events, network);
+  const Endpoint from{"src", 1};
+  const Endpoint to{"sink", 2};
+  std::vector<Bytes> pool;  // payload buffers, handed back on delivery
+  std::uint64_t delivered = 0;
+  transport.bind(to, [&](IncomingMessage m) {
+    ++delivered;
+    sink += m.packet.seq;
+    pool.push_back(std::move(m.packet.payload));
+  });
+  auto round = [&] {
+    for (std::size_t i = 0; i < batch; ++i) {
+      Packet p;
+      p.kind = PacketKind::kOneWay;
+      p.type = 1;
+      p.seq = i;
+      if (pool.empty()) {
+        p.payload.resize(kPayload);
+      } else {
+        p.payload = std::move(pool.back());
+        pool.pop_back();
+      }
+      transport.send(from, to, std::move(p));
+    }
+    events.run_until_idle();
+  };
+  round();  // warm-up: grows the arena, the queue and the pool once
+
+  DeliverResult r;
+  const std::uint64_t d0 = delivered;
+  const std::uint64_t a0 = g_allocs.load(std::memory_order_relaxed);
+  const double t0 = now_ns();
+  for (std::size_t i = 0; i < rounds; ++i) round();
+  const double t1 = now_ns();
+  r.allocs = g_allocs.load(std::memory_order_relaxed) - a0;
+  r.packets = delivered - d0;
+  r.ns_per_packet = r.packets ? (t1 - t0) / static_cast<double>(r.packets) : 0;
+  return r;
+}
+
 }  // namespace
 }  // namespace ew
 
@@ -148,6 +213,7 @@ int main(int argc, char** argv) {
   std::uint64_t sink = 0;
   const DepthResult small = run_depth(1'000, kBatch, kRounds, rng, sink);
   const DepthResult large = run_depth(100'000, kBatch, kRounds, rng, sink);
+  const DeliverResult deliver = run_sim_deliver(kBatch, kRounds, sink);
 
   const std::uint64_t allocs = small.allocs + large.allocs;
   const double allocs_per_event =
@@ -164,6 +230,12 @@ int main(int argc, char** argv) {
       .f("ns_cancel_100k", large.ns_cancel, 2)
       .f("ns_pop_100k", large.ns_pop, 2)
       .f("allocs_per_event", allocs_per_event, 2)
+      .f("ns_sim_deliver", deliver.ns_per_packet, 2)
+      .f("sim_deliver_allocs_per_packet",
+         deliver.packets ? static_cast<double>(deliver.allocs) /
+                               static_cast<double>(deliver.packets)
+                         : 0.0,
+         2)
       .u64("checksum", sink);
   bench::emit_json("micro_timer", line);
 
@@ -174,6 +246,18 @@ int main(int argc, char** argv) {
   if (allocs > 0) {
     std::fprintf(stderr, "micro_timer: %llu allocations in the add and pop legs (budget: 0)\n",
                  static_cast<unsigned long long>(allocs));
+    return 1;
+  }
+  if (deliver.packets != kBatch * kRounds) {
+    std::fprintf(stderr, "micro_timer: sim_deliver delivered %llu of %llu packets\n",
+                 static_cast<unsigned long long>(deliver.packets),
+                 static_cast<unsigned long long>(kBatch * kRounds));
+    return 1;
+  }
+  if (deliver.allocs > 0) {
+    std::fprintf(stderr,
+                 "micro_timer: %llu allocations in the sim_deliver rounds (budget: 0)\n",
+                 static_cast<unsigned long long>(deliver.allocs));
     return 1;
   }
   return 0;
