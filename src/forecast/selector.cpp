@@ -40,24 +40,25 @@ void AdaptiveForecaster::observe(double value) {
     predictions_[i] = battery_[i]->observe(value);
   }
   ++samples_;
-  best_ = best_index();
+  best_stale_ = true;
   if (trace_tag_ != 0) note_method_switch();
 }
 
 void AdaptiveForecaster::enable_method_switch_trace(std::uint32_t trace_tag) {
   trace_tag_ = trace_tag;
-  last_best_ = best_;
+  last_best_ = best();
 }
 
 void AdaptiveForecaster::note_method_switch() {
-  if (best_ == last_best_) return;
+  const std::size_t now = best();
+  if (now == last_best_) return;
   const std::size_t prev = last_best_;
-  last_best_ = best_;
+  last_best_ = now;
   obs::registry().counter(obs::names::kForecastMethodSwitches).inc();
   obs::trace().record(static_cast<std::int64_t>(samples_),
                       obs::SpanKind::kForecastMethodSwitch, trace_tag_,
                       static_cast<std::int64_t>(prev),
-                      static_cast<std::int64_t>(best_));
+                      static_cast<std::int64_t>(now));
 }
 
 void AdaptiveForecaster::observe(std::span<const double> values) {
@@ -87,13 +88,22 @@ std::size_t AdaptiveForecaster::best_index() const {
   return best;
 }
 
+std::size_t AdaptiveForecaster::best() const {
+  if (best_stale_) {
+    best_ = best_index();
+    best_stale_ = false;
+  }
+  return best_;
+}
+
 Forecast AdaptiveForecaster::forecast() const {
   Forecast f;
   f.samples = samples_;
   if (samples_ == 0) return f;
-  f.value = predictions_[best_];
-  f.error = errors_[best_].mae();
-  f.method = names_[best_];
+  const std::size_t b = best();
+  f.value = predictions_[b];
+  f.error = errors_[b].mae();
+  f.method = names_[b];
   return f;
 }
 

@@ -12,10 +12,13 @@
 // predictions against the new truth (plain array reads, no virtual calls)
 // and then makes exactly one virtual call per method — observe(), which
 // updates the method incrementally and hands back the refreshed standing
-// prediction. observe() also settles the best method once, so forecast()
-// (the sim asks for one twice per observation) reads a cached index and
-// scans nothing. forecast() is allocation-free: the method name is an
-// interned string_view into storage owned by this selector.
+// prediction. The first forecast() after an observe() settles the best
+// method and caches its index, so a repeated forecast() (sc98 asks for two
+// per observation) scans nothing and a stream that is only observed (fixed
+// time-outs) never scans. forecast() is allocation-free: the method name is
+// an interned string_view into storage owned by this selector. Because of
+// that cache, forecast() is not safe to call from two threads at once on
+// the same selector.
 #pragma once
 
 #include <cstdint>
@@ -75,6 +78,8 @@ class AdaptiveForecaster {
 
  private:
   [[nodiscard]] std::size_t best_index() const;
+  // best_index() as of the last observe(), scanned at most once per observe.
+  [[nodiscard]] std::size_t best() const;
   void note_method_switch();
   std::vector<std::unique_ptr<Forecaster>> battery_;
   std::vector<ErrorTracker> errors_;
@@ -87,8 +92,9 @@ class AdaptiveForecaster {
   // it).
   std::vector<std::string> names_;
   std::size_t samples_ = 0;
-  // best_index() as of the last observe(); what forecast() answers with.
-  std::size_t best_ = 0;
+  // Cache behind best(); stale after every observe().
+  mutable std::size_t best_ = 0;
+  mutable bool best_stale_ = false;
   // Method-switch tracing (0 = off). last_best_ tracks the previously
   // winning method so observe() can detect the regime change itself.
   std::uint32_t trace_tag_ = 0;

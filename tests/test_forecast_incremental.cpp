@@ -20,6 +20,7 @@
 #include "forecast/dynamic_benchmark.hpp"
 #include "forecast/forecaster.hpp"
 #include "forecast/selector.hpp"
+#include "obs/registry.hpp"
 
 namespace ew {
 namespace {
@@ -241,6 +242,45 @@ TEST(AdaptiveForecasterIncremental, BatchObserveEqualsSequential) {
   EXPECT_EQ(a.error, b.error);
   EXPECT_EQ(a.samples, b.samples);
   EXPECT_EQ(a.method, b.method);
+}
+
+TEST(AdaptiveForecasterIncremental, ForecastPicksLowestMaeUnderAnyInterleaving) {
+  // The best index is settled by the first forecast() after an observe()
+  // and cached: whether a step asks for no forecast, one or two, and
+  // whether the method-switch trace settles it first, forecast() must
+  // answer with the first method of lowest MAE as of the last observation.
+  for (const std::uint32_t trace_tag : {0u, 7u}) {
+    auto f = AdaptiveForecaster::nws_default();
+    if (trace_tag != 0) f.enable_method_switch_trace(trace_tag);
+    const auto names = f.method_names();
+    const std::uint64_t switches0 =
+        obs::registry().counter(obs::names::kForecastMethodSwitches).value();
+    Rng rng(2024);
+    for (int i = 0; i < 3000; ++i) {
+      // Three regimes, so the winner changes along the way.
+      const double v = i < 1000   ? 50.0 + rng.normal(0, 1)
+                       : i < 2000 ? 2.0 * i
+                                  : (i % 40 == 0 ? 900.0 : 10.0);
+      f.observe(v);
+      const int asks = i % 3;  // 0, 1 or 2 forecasts per observation
+      for (int k = 0; k < asks; ++k) {
+        const auto mae = f.method_mae();
+        const auto best = static_cast<std::size_t>(
+            std::min_element(mae.begin(), mae.end()) - mae.begin());
+        const Forecast fc = f.forecast();
+        ASSERT_EQ(fc.method, names[best]) << "step " << i << " ask " << k;
+        ASSERT_EQ(fc.error, mae[best]) << "step " << i << " ask " << k;
+      }
+    }
+    const std::uint64_t switches =
+        obs::registry().counter(obs::names::kForecastMethodSwitches).value() -
+        switches0;
+    if (trace_tag == 0) {
+      EXPECT_EQ(switches, 0u);
+    } else {
+      EXPECT_GE(switches, 2u);
+    }
+  }
 }
 
 TEST(AdaptiveForecasterIncremental, BestIndexRegressionOnKnownTraces) {
