@@ -16,7 +16,10 @@
 // no jitter), then delivery to a bound handler, in rounds of K packets. The
 // handler hands each payload buffer back to the sender's pool, so the
 // packets themselves allocate nothing; after one warm-up round every
-// allocation counted is the transport's or the queue's own.
+// allocation counted is the transport's or the queue's own. The host names
+// are short, as every sc98 name is: a sender name past std::string's inline
+// buffer (15 characters in libstdc++) costs one allocation per packet,
+// because the delivered message takes the name's buffer with it.
 //
 // The timings are a baseline, not a gate. Three checks exit 1: a round's
 // pops leaving (deadline, id) order, any allocation in the timed timer legs,
