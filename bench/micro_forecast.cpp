@@ -129,14 +129,15 @@ int main(int argc, char** argv) {
 
   // Per-method breakdown (observe cost of each battery member alone).
   bench::JsonWriter per_method;
-  for (auto& method : default_battery()) {
-    for (double v : make_series(256, 97)) method->observe(v);
+  NwsBattery battery;
+  battery.for_each([&](std::size_t k, auto& method) {
+    for (double v : make_series(256, 97)) method.observe(v);
     const Timed m = time_per_op(quick ? 20'000 : 1'000'000, [&](std::size_t i) {
-      return method->observe(series[i % series.size()]);
+      return method.observe(series[i % series.size()]);
     });
     checksum += m.checksum;
-    per_method.f(method->name(), m.ns_per_op, 1);
-  }
+    per_method.f(NwsBattery::kNames[k], m.ns_per_op, 1);
+  });
 
   bench::JsonWriter line;
   line.u64("samples", kObs)

@@ -1,7 +1,6 @@
 #include "common/stats.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
@@ -36,115 +35,52 @@ double RunningStats::cv() const {
   return mean_ == 0.0 ? 0.0 : stddev() / std::abs(mean_);
 }
 
-SlidingWindow::SlidingWindow(std::size_t capacity) : capacity_(capacity) {
-  if (capacity == 0) throw std::invalid_argument("SlidingWindow: zero capacity");
-}
-
-void SlidingWindow::add(double x) {
-  if (buf_.size() == capacity_) {
-    sum_ -= buf_.front();
-    buf_.pop_front();
-  }
-  buf_.push_back(x);
-  sum_ += x;
-}
-
-double SlidingWindow::mean() const {
-  if (buf_.empty()) return 0.0;
-  return sum_ / static_cast<double>(buf_.size());
-}
-
-// Nearest-rank (the lower middle element for even sizes), matching
-// OrderedWindow::median and the degenerate-trim fallback of TrimmedMean so
-// every median in the toolkit agrees on the same definition.
-double SlidingWindow::median() const { return quantile(0.5); }
-
-double SlidingWindow::quantile(double q) const {
-  if (buf_.empty()) throw std::logic_error("SlidingWindow::quantile: empty window");
-  q = std::clamp(q, 0.0, 1.0);
-  std::vector<double> v(buf_.begin(), buf_.end());
-  const auto rank = static_cast<std::size_t>(
-      std::min<double>(std::ceil(q * static_cast<double>(v.size())),
-                       static_cast<double>(v.size())));
-  const std::size_t idx = rank == 0 ? 0 : rank - 1;
-  std::nth_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(idx), v.end());
-  return v[idx];
-}
-
-OrderedWindow::OrderedWindow(std::size_t capacity) : capacity_(capacity) {
-  if (capacity == 0) throw std::invalid_argument("OrderedWindow: zero capacity");
-  fifo_.resize(capacity);
-  bufa_.resize(capacity + kFront + kBack);
-  bufb_.resize(capacity + kFront + kBack);
-}
+namespace detail {
 
 namespace {
 
-// The steady-state kernel variant chosen for this CPU, picked once at load
-// time. The AVX2 translation unit exists only where the compiler could
-// build it; __builtin_cpu_supports keeps the generic binary runnable on any
-// x86-64.
-using SteadyFn = void (*)(OrderedWindow&, double);
-
-SteadyFn pick_steady_kernel() {
+// The rebuild variant chosen for this CPU, picked once at load time. The
+// AVX2 translation unit exists only where the compiler could build it;
+// __builtin_cpu_supports keeps the generic binary runnable on any x86-64.
+SortedSlideFn pick_sorted_slide() {
 #if defined(EW_ORDERED_WINDOW_AVX2)
-  if (__builtin_cpu_supports("avx2")) {
-    return &detail::OrderedWindowKernels::steady_add_avx2;
-  }
+  if (__builtin_cpu_supports("avx2")) return &sorted_slide_avx2;
 #endif
-  return &detail::OrderedWindowKernels::steady_add_generic;
+  return &sorted_slide_generic;
 }
-
-const SteadyFn g_steady_kernel = pick_steady_kernel();
 
 }  // namespace
 
-void OrderedWindow::add(double x) {
-  assert(!std::isnan(x) && "OrderedWindow requires NaN-free input");
-  if (size_ == capacity_ && capacity_ <= kScanThreshold) {
-    g_steady_kernel(*this, x);  // the hot path: every battery window
-  } else if (size_ < capacity_) {
-    add_warmup(x);
-  } else {
-    add_large(x);
-  }
-}
+const SortedSlideFn sorted_slide = pick_sorted_slide();
 
-void OrderedWindow::add_warmup(double x) {
-  // head_ is 0 until the first eviction, so the arrival slot is just size_.
-  fifo_[size_] = x;
-  double* const base = sorted_mut();
+void sorted_insert(double* sorted, std::size_t n, double x) {
   // Insertion point: first element > x, so equal runs keep arrival order.
   std::size_t ipos;
-  if (size_ > kScanThreshold) {
-    ipos = static_cast<std::size_t>(std::upper_bound(base, base + size_, x) -
-                                    base);
+  if (n > kSortedScanThreshold) {
+    ipos = static_cast<std::size_t>(std::upper_bound(sorted, sorted + n, x) -
+                                    sorted);
   } else {
     ipos = 0;
-    for (std::size_t i = 0; i < size_; ++i) ipos += base[i] <= x ? 1u : 0u;
+    for (std::size_t i = 0; i < n; ++i) ipos += sorted[i] <= x ? 1u : 0u;
   }
-  std::memmove(base + ipos + 1, base + ipos, (size_ - ipos) * sizeof(double));
-  base[ipos] = x;
-  ++size_;
+  std::memmove(sorted + ipos + 1, sorted + ipos, (n - ipos) * sizeof(double));
+  sorted[ipos] = x;
 }
 
-void OrderedWindow::add_large(double x) {
-  const double evicted = fifo_[head_];
-  fifo_[head_] = x;
-  head_ = head_ + 1 == capacity_ ? 0 : head_ + 1;
-  // O(log w): locate the evicted element and the insertion slot with binary
+void sorted_replace(double* sorted, std::size_t n, double evicted, double x) {
+  // O(log n): locate the evicted element and the insertion slot with binary
   // searches, then close the gap between them with a single memmove.
-  double* const base = sorted_mut();
   const auto epos = static_cast<std::size_t>(
-      std::lower_bound(base, base + size_, evicted) - base);
+      std::lower_bound(sorted, sorted + n, evicted) - sorted);
   const auto ipos = static_cast<std::size_t>(
-      std::upper_bound(base, base + size_, x) - base);
+      std::upper_bound(sorted, sorted + n, x) - sorted);
   if (epos < ipos) {
-    std::memmove(base + epos, base + epos + 1, (ipos - 1 - epos) * sizeof(double));
-    base[ipos - 1] = x;
+    std::memmove(sorted + epos, sorted + epos + 1,
+                 (ipos - 1 - epos) * sizeof(double));
+    sorted[ipos - 1] = x;
   } else {
-    std::memmove(base + ipos + 1, base + ipos, (epos - ipos) * sizeof(double));
-    base[ipos] = x;
+    std::memmove(sorted + ipos + 1, sorted + ipos, (epos - ipos) * sizeof(double));
+    sorted[ipos] = x;
   }
 }
 
@@ -158,7 +94,7 @@ void OrderedWindow::add_large(double x) {
 //  2. A second fixed-trip sweep rebuilds the array into the spare buffer:
 //     out[j] = x at the insertion slot, in[j +- 1] inside the span between
 //     the two positions, in[j] outside it — selected by rank masks, never by
-//     branches. The buffers then swap roles (flip_).
+//     branches. The caller then swaps the buffers' roles.
 //
 // Rationale: with random data, both the shift direction and the shift length
 // of the classic in-place gap close are coin flips, costing two pipeline
@@ -167,14 +103,8 @@ void OrderedWindow::add_large(double x) {
 // rebuild is pure data movement (bit-identical results) with zero
 // mispredictions and runs ~1.5x faster across the battery despite touching
 // more elements.
-void detail::OrderedWindowKernels::steady_add_generic(OrderedWindow& w,
-                                                      double x) {
-  const double evicted = w.fifo_[w.head_];
-  w.fifo_[w.head_] = x;
-  w.head_ = w.head_ + 1 == w.capacity_ ? 0 : w.head_ + 1;
-  const double* const in = w.sorted_mut();
-  double* const out = w.spare_mut();
-  const std::size_t n = w.size_;
+void sorted_slide_generic(const double* in, double* out, std::size_t n,
+                          double evicted, double x) {
   std::size_t epos;
   std::size_t ipos;
 #if defined(__SSE2__)
@@ -242,28 +172,9 @@ void detail::OrderedWindowKernels::steady_add_generic(OrderedWindow& w,
   }
 #endif
   out[slot] = x;
-  w.flip_ = !w.flip_;
 }
 
-double OrderedWindow::back() const {
-  if (size_ == 0) throw std::logic_error("OrderedWindow::back: empty window");
-  return fifo_[(head_ + size_ - 1) % capacity_];
-}
-
-double OrderedWindow::quantile(double q) const {
-  if (size_ == 0) throw std::logic_error("OrderedWindow::quantile: empty window");
-  q = std::clamp(q, 0.0, 1.0);
-  const auto rank = static_cast<std::size_t>(
-      std::min<double>(std::ceil(q * static_cast<double>(size_)),
-                       static_cast<double>(size_)));
-  return sorted()[rank == 0 ? 0 : rank - 1];
-}
-
-void OrderedWindow::clear() {
-  head_ = 0;
-  size_ = 0;
-  flip_ = false;
-}
+}  // namespace detail
 
 BinnedSeries::BinnedSeries(TimePoint start, Duration bin_width, std::size_t num_bins)
     : start_(start),

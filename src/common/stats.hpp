@@ -2,10 +2,12 @@
 // layer and the benchmark harnesses (5-minute-average series of Figs. 2-4).
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <cassert>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <stdexcept>
 #include <vector>
 
@@ -35,100 +37,179 @@ class RunningStats {
   double max_ = 0.0;
 };
 
-/// Fixed-capacity sliding window with an O(1) running mean and O(n) quantile
-/// queries. Small windows only (forecasting uses <= a few hundred samples).
-/// Values must be finite (the forecasting streams are NaN-free by contract).
-class SlidingWindow {
+namespace detail {
+
+/// Raw-buffer kernels behind every ordered window. A sorted buffer keeps its
+/// n values at [0, n) with kSortedFront slots before and kSortedBack after
+/// them: the rebuild sweep reads the shifted-by-one neighbour (index -1 at
+/// the front) and reads & writes whole vector chunks (up to 3 slots past
+/// the end with 4-lane AVX2). Margin contents are never real data.
+inline constexpr std::size_t kSortedFront = 1;
+inline constexpr std::size_t kSortedBack = 4;
+/// Windows at or below this slide with the branchless rebuild; above it,
+/// binary search + memmove (the sweeps' fixed-trip advantage fades once the
+/// window outgrows a few cache lines).
+inline constexpr std::size_t kSortedScanThreshold = 64;
+
+/// Insert x into the n sorted values at `sorted` (room for n + 1), after any
+/// equal ones so equal runs keep arrival order.
+void sorted_insert(double* sorted, std::size_t n, double x);
+/// Replace `evicted` (one of the n sorted values at `sorted`) by x in place:
+/// two O(log n) binary searches and one memmove.
+void sorted_replace(double* sorted, std::size_t n, double evicted, double x);
+
+/// Write to `out` the n sorted values of `in` with `evicted` replaced by x,
+/// by the branchless two-sweep rebuild (stats.cpp). Both buffers carry the
+/// margins; for n <= kSortedScanThreshold.
+using SortedSlideFn = void (*)(const double* in, double* out, std::size_t n,
+                               double evicted, double x);
+void sorted_slide_generic(const double* in, double* out, std::size_t n,
+                          double evicted, double x);
+#if defined(EW_ORDERED_WINDOW_AVX2)
+/// The same rebuild four lanes wide (stats_simd.cpp, built with -mavx2).
+void sorted_slide_avx2(const double* in, double* out, std::size_t n,
+                       double evicted, double x);
+#endif
+/// The rebuild variant chosen for this CPU, picked once at load time.
+extern const SortedSlideFn sorted_slide;
+
+/// Inline storage of a window of capacity N: nothing to allocate.
+template <std::size_t N>
+class InlineWindowStorage {
+  static_assert(N > 0, "ordered window of zero capacity");
+
  public:
-  explicit SlidingWindow(std::size_t capacity);
-  void add(double x);
-  [[nodiscard]] std::size_t size() const { return buf_.size(); }
-  [[nodiscard]] bool empty() const { return buf_.empty(); }
-  [[nodiscard]] double back() const { return buf_.back(); }
-  /// Running-sum mean: O(1). Subject to normal floating-point accumulation
-  /// drift over very long streams (bounded by window churn, not stream
-  /// length, because evicted values are subtracted back out).
-  [[nodiscard]] double mean() const;
-  [[nodiscard]] double median() const;
-  /// q in [0,1]; nearest-rank quantile. Requires non-empty window.
-  [[nodiscard]] double quantile(double q) const;
-  [[nodiscard]] const std::deque<double>& values() const { return buf_; }
-  void clear() {
-    buf_.clear();
-    sum_ = 0.0;
+  [[nodiscard]] static constexpr std::size_t capacity() { return N; }
+  [[nodiscard]] double* fifo() { return fifo_.data(); }
+  [[nodiscard]] const double* fifo() const { return fifo_.data(); }
+  [[nodiscard]] double* buffer(bool second) {
+    return (second ? b_ : a_).data() + kSortedFront;
+  }
+  [[nodiscard]] const double* buffer(bool second) const {
+    return (second ? b_ : a_).data() + kSortedFront;
   }
 
  private:
-  std::size_t capacity_;
-  std::deque<double> buf_;
-  double sum_ = 0.0;
+  std::array<double, N> fifo_{};
+  std::array<double, N + kSortedFront + kSortedBack> a_{};
+  std::array<double, N + kSortedFront + kSortedBack> b_{};
 };
 
-class OrderedWindow;
-namespace detail {
-/// Backdoor for the ISA-specific OrderedWindow kernels (stats_simd.cpp is
-/// compiled with wider vector flags than the rest of the library and
-/// dispatched at startup by CPU capability).
-struct OrderedWindowKernels {
-  static void steady_add_generic(OrderedWindow& w, double x);
-#if defined(EW_ORDERED_WINDOW_AVX2)
-  static void steady_add_avx2(OrderedWindow& w, double x);
-#endif
+/// Storage for a capacity chosen at run time: one heap block holding the
+/// arrival ring and both sorted buffers.
+class HeapWindowStorage {
+ public:
+  explicit HeapWindowStorage(std::size_t capacity)
+      : capacity_(capacity),
+        mem_(3 * capacity + 2 * (kSortedFront + kSortedBack)) {
+    if (capacity == 0) throw std::invalid_argument("OrderedWindow: zero capacity");
+  }
+  [[nodiscard]] std::size_t capacity() const { return capacity_; }
+  [[nodiscard]] double* fifo() { return mem_.data(); }
+  [[nodiscard]] const double* fifo() const { return mem_.data(); }
+  [[nodiscard]] double* buffer(bool second) { return mem_.data() + offset(second); }
+  [[nodiscard]] const double* buffer(bool second) const {
+    return mem_.data() + offset(second);
+  }
+
+ private:
+  [[nodiscard]] std::size_t offset(bool second) const {
+    const std::size_t stride = capacity_ + kSortedFront + kSortedBack;
+    return capacity_ + kSortedFront + (second ? stride : 0);
+  }
+  std::size_t capacity_;
+  std::vector<double> mem_;
 };
+
 }  // namespace detail
 
 /// Fixed-capacity sliding window that keeps its contents **sorted
-/// incrementally**, the workhorse behind the incremental forecaster battery
-/// (SlidingMedian, TrimmedMean, AdaptiveTimeout tails). Rank queries —
-/// median, quantiles, trimmed ranges — are O(1) array indexing instead of
-/// the copy-and-sort (O(w log w) plus an allocation) the naive SlidingWindow
-/// needs.
+/// incrementally**, the workhorse behind the forecaster battery's order
+/// statistics (SlidingMedian, TrimmedMean) and the AdaptiveTimeout tails.
+/// Rank queries — median, quantiles, trimmed ranges — are O(1) array
+/// indexing instead of a copy-and-sort (O(w log w) plus an allocation).
+///
+/// `Storage` is detail::InlineWindowStorage<N> (FixedOrderedWindow<N>: the
+/// capacity is a compile-time constant and the window allocates nothing) or
+/// detail::HeapWindowStorage (OrderedWindow: capacity chosen at run time,
+/// one heap block). Both reach the same raw-buffer kernels.
 ///
 /// Maintenance strategy, chosen by measurement (see DESIGN.md, "Forecasting
 /// hot path"):
-///  - w <= kScanThreshold (every battery window): each add() rebuilds the
-///    sorted array into a second buffer with a branchless vectorized pass —
-///    one sweep counts the evicted element's and the newcomer's ranks, a
-///    second sweep blends each element with its shifted-by-one neighbour by
-///    rank mask and the buffers swap roles. O(w) with tiny constants; the
-///    point is that the trip counts are fixed, so a random measurement
-///    stream causes **zero** branch mispredictions and the pipeline can
-///    overlap adjacent forecasters' updates. Both the O(log w) dual-multiset
-///    (allocator traffic) and binary-search + memmove (one unpredictable
-///    direction branch + one unpredictable trip count per add = two pipeline
-///    flushes) variants were prototyped and lost ~1.5-4x.
-///  - w > kScanThreshold: two O(log w) binary searches plus one contiguous
-///    memmove between the two positions, in place.
+///  - w <= kSortedScanThreshold (every battery window): each add() rebuilds
+///    the sorted array into a second buffer with a branchless vectorized
+///    pass — one sweep counts the evicted element's and the newcomer's
+///    ranks, a second sweep blends each element with its shifted-by-one
+///    neighbour by rank mask and the buffers swap roles. O(w) with tiny
+///    constants; the point is that the trip counts are fixed, so a random
+///    measurement stream causes **zero** branch mispredictions and the
+///    pipeline can overlap adjacent forecasters' updates. Both the O(log w)
+///    dual-multiset (allocator traffic) and binary-search + memmove (one
+///    unpredictable direction branch + one unpredictable trip count per add
+///    = two pipeline flushes) variants were prototyped and lost ~1.5-4x.
+///  - w > kSortedScanThreshold: two O(log w) binary searches plus one
+///    contiguous memmove between the two positions, in place.
 ///
 /// Values must be finite; NaNs would corrupt the sorted invariant (asserted
 /// in debug builds).
-class OrderedWindow {
+template <class Storage>
+class BasicOrderedWindow {
  public:
-  explicit OrderedWindow(std::size_t capacity);
+  BasicOrderedWindow() = default;
+  explicit BasicOrderedWindow(std::size_t capacity) : store_(capacity) {}
 
   /// Insert x, evicting the oldest value first when the window is full.
-  void add(double x);
+  void add(double x) {
+    assert(!std::isnan(x) && "OrderedWindow requires NaN-free input");
+    const std::size_t cap = store_.capacity();
+    double* const fifo = store_.fifo();
+    if (size_ < cap) {
+      // head_ is 0 until the first eviction, so the arrival slot is size_.
+      fifo[size_] = x;
+      detail::sorted_insert(store_.buffer(flip_), size_, x);
+      ++size_;
+      return;
+    }
+    const double evicted = fifo[head_];
+    fifo[head_] = x;
+    head_ = head_ + 1 == cap ? 0 : head_ + 1;
+    if (cap <= detail::kSortedScanThreshold) {
+      // The hot path: every battery window.
+      detail::sorted_slide(store_.buffer(flip_), store_.buffer(!flip_), size_,
+                           evicted, x);
+      flip_ = !flip_;
+    } else {
+      detail::sorted_replace(store_.buffer(flip_), size_, evicted, x);
+    }
+  }
 
   [[nodiscard]] std::size_t size() const { return size_; }
   [[nodiscard]] bool empty() const { return size_ == 0; }
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
+  [[nodiscard]] std::size_t capacity() const { return store_.capacity(); }
   /// Most recently added value (arrival order, not sorted order).
-  [[nodiscard]] double back() const;
+  [[nodiscard]] double back() const {
+    if (size_ == 0) throw std::logic_error("OrderedWindow::back: empty window");
+    return store_.fifo()[(head_ + size_ - 1) % store_.capacity()];
+  }
 
   /// i-th smallest value (rank order). Requires i < size().
   [[nodiscard]] double at_rank(std::size_t i) const { return sorted()[i]; }
   /// The toolkit's median definition: nearest-rank, i.e. the order statistic
-  /// at rank ceil(n/2) (the lower of the two middle elements for even n).
-  /// Identical to SlidingWindow::quantile(0.5), so forecasts are
-  /// bit-identical with the naive battery at every window size.
-  /// Inline: this is the per-observation read on the forecaster hot path.
+  /// at rank ceil(n/2) (the lower of the two middle elements for even n),
+  /// the same as quantile(0.5).
   [[nodiscard]] double median() const {
     if (size_ == 0) throw std::logic_error("OrderedWindow::median: empty window");
     return sorted()[(size_ - 1) / 2];
   }
-  /// q in [0,1]; nearest-rank quantile (same rank rule as SlidingWindow),
-  /// answered in O(1) from the sorted array. Requires non-empty window.
-  [[nodiscard]] double quantile(double q) const;
+  /// q in [0,1]; nearest-rank quantile, answered in O(1) from the sorted
+  /// array. Requires non-empty window.
+  [[nodiscard]] double quantile(double q) const {
+    if (size_ == 0) throw std::logic_error("OrderedWindow::quantile: empty window");
+    q = std::clamp(q, 0.0, 1.0);
+    const auto n = static_cast<double>(size_);
+    const auto rank = static_cast<std::size_t>(std::min(std::ceil(q * n), n));
+    return sorted()[rank == 0 ? 0 : rank - 1];
+  }
   /// Sum of the order statistics in rank range [lo, hi); O(hi - lo).
   /// Summed left to right so the result is bit-identical to a naive loop
   /// over a sorted copy of the window.
@@ -140,45 +221,26 @@ class OrderedWindow {
     return s;
   }
 
-  void clear();
+  void clear() {
+    head_ = 0;
+    size_ = 0;
+    flip_ = false;
+  }
 
  private:
-  friend struct detail::OrderedWindowKernels;
+  [[nodiscard]] const double* sorted() const { return store_.buffer(flip_); }
 
-  /// Windows at or below this use the branchless rebuild; above it, binary
-  /// search + memmove (the sweeps' fixed-trip advantage fades once the
-  /// window outgrows a few cache lines).
-  static constexpr std::size_t kScanThreshold = 64;
-  /// Margins around the sorted payload in each buffer: the rebuild sweep
-  /// reads the shifted-by-one neighbour (index -1 at the front) and reads &
-  /// writes whole vector chunks (up to 3 slots past the end with 4-lane
-  /// AVX2). Margin contents are never real data.
-  static constexpr std::size_t kFront = 1;
-  static constexpr std::size_t kBack = 4;
-
-  /// Sorted payload of the active buffer. A flip flag rather than cached
-  /// pointers keeps the implicit copy/move of the class correct.
-  [[nodiscard]] const double* sorted() const {
-    return (flip_ ? bufb_ : bufa_).data() + kFront;
-  }
-  [[nodiscard]] double* sorted_mut() {
-    return (flip_ ? bufb_ : bufa_).data() + kFront;
-  }
-  [[nodiscard]] double* spare_mut() {
-    return (flip_ ? bufa_ : bufb_).data() + kFront;
-  }
-
-  void add_warmup(double x);
-  void add_large(double x);  // w > kScanThreshold: binary search + memmove
-
-  std::size_t capacity_;
-  std::size_t head_ = 0;  // ring index of the oldest element in fifo_
+  Storage store_;
+  std::size_t head_ = 0;  // ring index of the oldest element in the fifo
   std::size_t size_ = 0;
-  bool flip_ = false;           // which of bufa_/bufb_ holds the sorted data
-  std::vector<double> fifo_;    // arrival order (ring buffer)
-  std::vector<double> bufa_;    // sorted values + margins (active or spare)
-  std::vector<double> bufb_;
+  bool flip_ = false;     // which of the two buffers holds the sorted data
 };
+
+/// Ordered window whose capacity is chosen at run time (heap storage).
+using OrderedWindow = BasicOrderedWindow<detail::HeapWindowStorage>;
+/// Ordered window of compile-time capacity N with inline storage.
+template <std::size_t N>
+using FixedOrderedWindow = BasicOrderedWindow<detail::InlineWindowStorage<N>>;
 
 /// Accumulates (time, value) observations into fixed-width time bins and
 /// reports per-bin averages — exactly the "5 Minute Averages" of the paper's

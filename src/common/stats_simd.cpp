@@ -1,8 +1,8 @@
-// AVX2 build of the OrderedWindow steady-state kernel. This translation
+// AVX2 build of the ordered-window rebuild kernel. This translation
 // unit is the only one compiled with -mavx2 (see CMakeLists.txt); the rest
 // of the library stays at the baseline ISA and stats.cpp dispatches here at
 // load time only when the CPU reports AVX2. The algorithm is the same
-// branchless two-sweep rebuild as steady_add_generic — fused rank count,
+// branchless two-sweep rebuild as sorted_slide_generic — fused rank count,
 // then a fixed-trip blend into the spare buffer — just four lanes wide, so
 // read that function first. Results are bit-identical: both kernels only
 // move values, never compute with them.
@@ -16,15 +16,8 @@
 
 namespace ew {
 
-void detail::OrderedWindowKernels::steady_add_avx2(OrderedWindow& w,
-                                                   double x) {
-  const double evicted = w.fifo_[w.head_];
-  w.fifo_[w.head_] = x;
-  w.head_ = w.head_ + 1 == w.capacity_ ? 0 : w.head_ + 1;
-  const double* const in = w.sorted_mut();
-  double* const out = w.spare_mut();
-  const std::size_t n = w.size_;
-
+void detail::sorted_slide_avx2(const double* in, double* out, std::size_t n,
+                               double evicted, double x) {
   // Sweep 1: fused rank count.
   const __m256d va = _mm256_set1_pd(evicted);
   const __m256d vb = _mm256_set1_pd(x);
@@ -70,7 +63,6 @@ void detail::OrderedWindowKernels::steady_add_avx2(OrderedWindow& w,
     iota = _mm256_add_pd(iota, four);
   }
   out[slot] = x;
-  w.flip_ = !w.flip_;
 }
 
 }  // namespace ew

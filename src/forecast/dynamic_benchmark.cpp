@@ -5,9 +5,8 @@
 namespace ew {
 
 AdaptiveForecaster& EventForecasterBank::stream(const EventTag& tag) {
-  auto it = bank_.find(tag);
-  if (it == bank_.end()) {
-    it = bank_.emplace(tag, AdaptiveForecaster::nws_default()).first;
+  auto [it, inserted] = bank_.try_emplace(tag);
+  if (inserted) {
     // When tracing is on, new event streams report their method switches
     // under their dynamic-benchmarking tag so regime changes in the
     // forecast join against the call spans they caused.

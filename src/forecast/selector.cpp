@@ -1,44 +1,23 @@
 #include "forecast/selector.hpp"
 
-#include <algorithm>
 #include <array>
-#include <stdexcept>
+#include <cmath>
 
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
 
 namespace ew {
 
-AdaptiveForecaster::AdaptiveForecaster(
-    std::vector<std::unique_ptr<Forecaster>> battery)
-    : battery_(std::move(battery)),
-      errors_(battery_.size()),
-      predictions_(battery_.size(), 0.0) {
-  if (battery_.empty()) {
-    throw std::invalid_argument("AdaptiveForecaster: empty battery");
-  }
-  names_.reserve(battery_.size());
-  for (const auto& m : battery_) names_.push_back(m->name());
-}
-
-AdaptiveForecaster AdaptiveForecaster::nws_default() {
-  return AdaptiveForecaster(default_battery());
-}
-
 void AdaptiveForecaster::observe(double value) {
   // Score the cached standing predictions against the new truth, then let
-  // each method absorb it; the method's observe() returns the refreshed
-  // standing prediction, so the whole pass makes one virtual call per
-  // method and recomputes nothing.
-  const std::size_t n = battery_.size();
+  // the battery absorb it in one pass that writes back every method's
+  // refreshed prediction.
   if (samples_ > 0) {
-    for (std::size_t i = 0; i < n; ++i) {
-      errors_[i].add(predictions_[i], value);
+    for (std::size_t i = 0; i < kMethods; ++i) {
+      abs_err_[i] += std::abs(predictions_[i] - value);
     }
   }
-  for (std::size_t i = 0; i < n; ++i) {
-    predictions_[i] = battery_[i]->observe(value);
-  }
+  battery_.observe(value, predictions_);
   ++samples_;
   best_stale_ = true;
   if (trace_tag_ != 0) note_method_switch();
@@ -66,24 +45,14 @@ void AdaptiveForecaster::observe(std::span<const double> values) {
 }
 
 std::size_t AdaptiveForecaster::best_index() const {
-  // A block of MAEs first: the divisions are independent, so they pipeline
-  // instead of each waiting on the previous comparison. Then the same
-  // strict-< scan for the first minimum over the same values, so the winner
-  // is the same. The standard battery fits one block.
-  constexpr std::size_t kBlock = 16;
-  const std::size_t n = errors_.size();
+  // All MAEs first: the divisions are independent, so they pipeline instead
+  // of each waiting on the previous comparison. Then a strict-< scan for the
+  // first minimum.
+  std::array<double, kMethods> maes;
+  for (std::size_t i = 0; i < kMethods; ++i) maes[i] = mae(i);
   std::size_t best = 0;
-  double best_mae = errors_[0].mae();
-  for (std::size_t base = 0; base < n; base += kBlock) {
-    const std::size_t m = std::min(kBlock, n - base);
-    std::array<double, kBlock> mae;
-    for (std::size_t i = 0; i < m; ++i) mae[i] = errors_[base + i].mae();
-    for (std::size_t i = 0; i < m; ++i) {
-      if (mae[i] < best_mae) {
-        best_mae = mae[i];
-        best = base + i;
-      }
-    }
+  for (std::size_t i = 1; i < kMethods; ++i) {
+    if (maes[i] < maes[best]) best = i;
   }
   return best;
 }
@@ -102,20 +71,19 @@ Forecast AdaptiveForecaster::forecast() const {
   if (samples_ == 0) return f;
   const std::size_t b = best();
   f.value = predictions_[b];
-  f.error = errors_[b].mae();
-  f.method = names_[b];
+  f.error = mae(b);
+  f.method = NwsBattery::kNames[b];
   return f;
 }
 
 std::vector<double> AdaptiveForecaster::method_mae() const {
-  std::vector<double> out;
-  out.reserve(errors_.size());
-  for (const auto& e : errors_) out.push_back(e.mae());
+  std::vector<double> out(kMethods);
+  for (std::size_t i = 0; i < kMethods; ++i) out[i] = mae(i);
   return out;
 }
 
 std::vector<std::string> AdaptiveForecaster::method_names() const {
-  return names_;
+  return {NwsBattery::kNames.begin(), NwsBattery::kNames.end()};
 }
 
 }  // namespace ew

@@ -7,28 +7,28 @@
 // predict() answers with the method that currently has the lowest cumulative
 // mean absolute error.
 //
-// Hot-path contract (see DESIGN.md, "Forecasting hot path"): the selector
-// caches every method's standing prediction. observe() scores the cached
-// predictions against the new truth (plain array reads, no virtual calls)
-// and then makes exactly one virtual call per method — observe(), which
-// updates the method incrementally and hands back the refreshed standing
-// prediction. The first forecast() after an observe() settles the best
-// method and caches its index, so a repeated forecast() (sc98 asks for two
-// per observation) scans nothing and a stream that is only observed (fixed
-// time-outs) never scans. forecast() is allocation-free: the method name is
-// an interned string_view into storage owned by this selector. Because of
-// that cache, forecast() is not safe to call from two threads at once on
-// the same selector.
+// Layout and hot-path contract (see DESIGN.md §6, "Forecasting hot path"):
+// the battery (forecaster.hpp: NwsBattery) is held inline, next to fixed
+// arrays of every method's standing prediction and absolute-error sum, so
+// an AdaptiveForecaster is one block that allocates nothing when built.
+// observe() scores the cached predictions against the new truth (plain
+// array arithmetic), then one non-virtual battery pass updates every method
+// and writes back its refreshed prediction. The first forecast() after an
+// observe() settles the best method and caches its index, so a repeated
+// forecast() (sc98 asks for two per observation) scans nothing and a stream
+// that is only observed (fixed time-outs) never scans. forecast() is
+// allocation-free: the method name views the battery's static names table.
+// Because of that cache, forecast() is not safe to call from two threads at
+// once on the same selector.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "common/stats.hpp"
 #include "forecast/forecaster.hpp"
 
 namespace ew {
@@ -38,26 +38,24 @@ struct Forecast {
   double value = 0.0;
   double error = 0.0;       // MAE of the selected method so far
   std::size_t samples = 0;  // observations absorbed
-  /// Name of the selected method. Interned: views storage owned by the
-  /// AdaptiveForecaster that produced it (stable across moves of the
-  /// selector); copy into a std::string if the forecast must outlive it.
+  /// Name of the selected method: views NwsBattery::kNames, a static
+  /// table, so it stays valid for the life of the program.
   std::string_view method;
 };
 
 class AdaptiveForecaster {
  public:
-  /// Takes ownership of the battery; use nws_default() for the standard set.
-  explicit AdaptiveForecaster(std::vector<std::unique_ptr<Forecaster>> battery);
+  static constexpr std::size_t kMethods = NwsBattery::kSize;
 
-  /// The standard NWS-like battery (forecaster.hpp: default_battery()).
-  static AdaptiveForecaster nws_default();
+  /// The standard NWS battery (forecaster.hpp: NwsBattery), no samples yet.
+  AdaptiveForecaster() = default;
+  static AdaptiveForecaster nws_default() { return {}; }
 
   /// Score all methods against `value`, then absorb it.
   void observe(double value);
 
   /// Absorb a whole measurement trace (replayed simulator traces, warm-up
-  /// runs): same result as calling observe() per element, with one bounds
-  /// check and battery sweep set-up per batch instead of per sample.
+  /// runs): same result as calling observe() per element.
   void observe(std::span<const double> values);
 
   /// Best-method forecast of the next value.
@@ -77,20 +75,23 @@ class AdaptiveForecaster {
   void enable_method_switch_trace(std::uint32_t trace_tag);
 
  private:
+  /// Cumulative MAE of method i: every method is scored on every
+  /// observation after the first, so all share the count samples_ - 1.
+  [[nodiscard]] double mae(std::size_t i) const {
+    const std::size_t scored = samples_ > 0 ? samples_ - 1 : 0;
+    return scored ? abs_err_[i] / static_cast<double>(scored) : 0.0;
+  }
   [[nodiscard]] std::size_t best_index() const;
   // best_index() as of the last observe(), scanned at most once per observe.
   [[nodiscard]] std::size_t best() const;
   void note_method_switch();
-  std::vector<std::unique_ptr<Forecaster>> battery_;
-  std::vector<ErrorTracker> errors_;
-  // Standing predictions, refreshed on every observe; predictions_[i] is
-  // exactly battery_[i]->predict() but read without a virtual dispatch.
-  std::vector<double> predictions_;
-  // Interned method names; forecast().method views into these. The strings
-  // are written once at construction and never touched again, so the views
-  // survive moves of the selector (the vector's element buffer moves with
-  // it).
-  std::vector<std::string> names_;
+
+  NwsBattery battery_;
+  // Standing predictions, refreshed on every observe: predictions_[i] is
+  // exactly method i's predict().
+  std::array<double, kMethods> predictions_{};
+  // Sum of |prediction - truth| per method over the scored observations.
+  std::array<double, kMethods> abs_err_{};
   std::size_t samples_ = 0;
   // Cache behind best(); stale after every observe().
   mutable std::size_t best_ = 0;

@@ -2,10 +2,12 @@
 // Result/Status, and the logger.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <deque>
 #include <set>
 #include <thread>
+#include <vector>
 
 #include "common/clock.hpp"
 #include "common/hash.hpp"
@@ -338,23 +340,6 @@ TEST(RunningStats, EmptyIsZero) {
   EXPECT_EQ(s.cv(), 0.0);
 }
 
-TEST(SlidingWindow, EvictsOldest) {
-  SlidingWindow w(3);
-  for (double v : {1.0, 2.0, 3.0, 4.0}) w.add(v);
-  EXPECT_EQ(w.size(), 3u);
-  EXPECT_DOUBLE_EQ(w.mean(), 3.0);  // {2,3,4}
-}
-
-TEST(SlidingWindow, MedianOddEven) {
-  SlidingWindow w(5);
-  w.add(5);
-  w.add(1);
-  w.add(3);
-  EXPECT_DOUBLE_EQ(w.median(), 3.0);
-  w.add(9);
-  EXPECT_DOUBLE_EQ(w.median(), 3.0);  // nearest-rank of {1,3,5,9} -> 3
-}
-
 TEST(OrderedWindow, KeepsRankOrderWhileSliding) {
   OrderedWindow w(3);
   for (double v : {5.0, 1.0, 3.0}) w.add(v);
@@ -369,8 +354,8 @@ TEST(OrderedWindow, KeepsRankOrderWhileSliding) {
 }
 
 TEST(OrderedWindow, MedianIsNearestRank) {
-  // Same nearest-rank definition as SlidingWindow::quantile(0.5): the lower
-  // middle element for even sizes.
+  // Nearest-rank, the same rule as quantile(0.5): the lower middle element
+  // for even sizes.
   OrderedWindow w(4);
   w.add(1);
   w.add(9);
@@ -382,18 +367,29 @@ TEST(OrderedWindow, MedianIsNearestRank) {
 }
 
 TEST(OrderedWindow, QuantileMatchesSlidingWindow) {
-  // Same nearest-rank rule as SlidingWindow::quantile, just O(1).
+  // The nearest-rank quantile of a sorted copy of the trailing window (what
+  // the copy-and-sort SlidingWindow answered), just O(1).
   OrderedWindow ow(10);
-  SlidingWindow sw(10);
+  std::deque<double> fifo;
   Rng rng(42);
   for (int i = 0; i < 100; ++i) {
     const double v = rng.uniform(0, 1000);
     ow.add(v);
-    sw.add(v);
+    fifo.push_back(v);
+    if (fifo.size() > 10) fifo.pop_front();
+    std::vector<double> sorted(fifo.begin(), fifo.end());
+    std::sort(sorted.begin(), sorted.end());
+    const auto n = static_cast<double>(sorted.size());
     for (double q : {0.0, 0.1, 0.5, 0.9, 0.98, 1.0}) {
-      EXPECT_DOUBLE_EQ(ow.quantile(q), sw.quantile(q)) << "q=" << q;
+      const auto rank = static_cast<std::size_t>(std::min(std::ceil(q * n), n));
+      EXPECT_EQ(ow.quantile(q), sorted[rank == 0 ? 0 : rank - 1]) << "q=" << q;
     }
   }
+  OrderedWindow w(10);
+  for (int i = 1; i <= 10; ++i) w.add(i);
+  EXPECT_DOUBLE_EQ(w.quantile(0.0), 1.0);
+  EXPECT_DOUBLE_EQ(w.quantile(1.0), 10.0);
+  EXPECT_DOUBLE_EQ(w.quantile(0.9), 9.0);
 }
 
 TEST(OrderedWindow, RangeSumAndClear) {
@@ -405,6 +401,7 @@ TEST(OrderedWindow, RangeSumAndClear) {
   w.clear();
   EXPECT_TRUE(w.empty());
   EXPECT_THROW((void)w.median(), std::logic_error);
+  EXPECT_THROW((void)w.quantile(0.5), std::logic_error);
 }
 
 TEST(OrderedWindow, ZeroCapacityThrows) {
@@ -433,23 +430,6 @@ TEST(OrderedWindow, MatchesMultisetReferenceUnderChurn) {
       ++r;
     }
   }
-}
-
-TEST(SlidingWindow, QuantileBounds) {
-  SlidingWindow w(10);
-  for (int i = 1; i <= 10; ++i) w.add(i);
-  EXPECT_DOUBLE_EQ(w.quantile(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(w.quantile(1.0), 10.0);
-  EXPECT_DOUBLE_EQ(w.quantile(0.9), 9.0);
-}
-
-TEST(SlidingWindow, EmptyQuantileThrows) {
-  SlidingWindow w(3);
-  EXPECT_THROW((void)w.quantile(0.5), std::logic_error);
-}
-
-TEST(SlidingWindow, ZeroCapacityThrows) {
-  EXPECT_THROW(SlidingWindow(0), std::invalid_argument);
 }
 
 TEST(BinnedSeries, DepositsAndRates) {

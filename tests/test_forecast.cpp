@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
+#include <string_view>
 
 #include "common/clock.hpp"
 #include "common/rng.hpp"
@@ -30,19 +32,19 @@ TEST(RunningMean, AveragesHistory) {
 }
 
 TEST(SlidingMean, ForgetsOldValues) {
-  SlidingMean f(2);
+  SlidingMean<2> f;
   for (double v : {100.0, 1.0, 3.0}) f.observe(v);
   EXPECT_DOUBLE_EQ(f.predict(), 2.0);
 }
 
 TEST(SlidingMedian, RobustToOutlier) {
-  SlidingMedian f(5);
+  SlidingMedian<5> f;
   for (double v : {10.0, 10.0, 10.0, 10.0, 1000.0}) f.observe(v);
   EXPECT_DOUBLE_EQ(f.predict(), 10.0);
 }
 
 TEST(TrimmedMean, DropsTails) {
-  TrimmedMean f(5, 0.2);
+  TrimmedMean<5> f(0.2);
   for (double v : {1.0, 10.0, 10.0, 10.0, 1000.0}) f.observe(v);
   EXPECT_DOUBLE_EQ(f.predict(), 10.0);
 }
@@ -52,8 +54,8 @@ TEST(TrimmedMean, DegenerateTrimMatchesMedian) {
   // with SlidingMedian at every step, including the even-size nearest-rank
   // rule during warm-up (the naive version returned the upper middle
   // element there).
-  TrimmedMean f(4, 0.5);
-  SlidingMedian m(4);
+  TrimmedMean<4> f(0.5);
+  SlidingMedian<4> m;
   for (double v : {8.0, 2.0, 4.0, 16.0, 1.0}) {
     EXPECT_DOUBLE_EQ(f.observe(v), m.observe(v));
   }
@@ -61,7 +63,7 @@ TEST(TrimmedMean, DegenerateTrimMatchesMedian) {
 }
 
 TEST(SlidingMedian, EvenSizesUseNearestRankDuringWarmup) {
-  SlidingMedian f(5);
+  SlidingMedian<5> f;
   f.observe(10.0);
   EXPECT_DOUBLE_EQ(f.predict(), 10.0);
   f.observe(20.0);
@@ -72,12 +74,13 @@ TEST(Forecaster, ObserveReturnsStandingPrediction) {
   // The hot-path contract: observe() hands back exactly what predict()
   // answers afterwards, for every battery member.
   Rng rng(3);
-  for (auto& m : default_battery()) {
+  NwsBattery battery;
+  battery.for_each([&](std::size_t k, auto& m) {
     for (int i = 0; i < 100; ++i) {
-      const double got = m->observe(rng.uniform(0, 1000));
-      ASSERT_EQ(got, m->predict()) << m->name() << " step " << i;
+      const double got = m.observe(rng.uniform(0, 1000));
+      ASSERT_EQ(got, m.predict()) << NwsBattery::kNames[k] << " step " << i;
     }
-  }
+  });
 }
 
 TEST(ExpSmooth, SeedsWithFirstValue) {
@@ -104,22 +107,21 @@ TEST(AdaptiveExpSmooth, TracksLevelShift) {
 }
 
 TEST(TrendForecaster, ExtrapolatesLinearSeriesExactly) {
-  TrendForecaster f(10);
+  TrendForecaster<10> f;
   for (int i = 0; i < 10; ++i) f.observe(3.0 * i + 2.0);
   EXPECT_NEAR(f.predict(), 3.0 * 10 + 2.0, 1e-9);
 }
 
 TEST(TrendForecaster, ConstantSeriesPredictsConstant) {
-  TrendForecaster f(5);
+  TrendForecaster<5> f;
   for (int i = 0; i < 5; ++i) f.observe(7.0);
   EXPECT_NEAR(f.predict(), 7.0, 1e-9);
 }
 
 TEST(DefaultBattery, HasDistinctNames) {
-  auto battery = default_battery();
+  const auto& battery = NwsBattery::kNames;
   ASSERT_GE(battery.size(), 10u);
-  std::set<std::string> names;
-  for (const auto& m : battery) names.insert(m->name());
+  const std::set<std::string_view> names(battery.begin(), battery.end());
   EXPECT_EQ(names.size(), battery.size());
 }
 
@@ -145,10 +147,6 @@ TEST(AdaptiveForecaster, TrendingSeriesPicksTrendAwareMethod) {
   // The winner must be close to the next value (1000); mean-like methods
   // would be hundreds off.
   EXPECT_NEAR(fc.value, 1000.0, 20.0);
-}
-
-TEST(AdaptiveForecaster, EmptyBatteryThrows) {
-  EXPECT_THROW(AdaptiveForecaster({}), std::invalid_argument);
 }
 
 /// Property: across regime types, the adaptive selector's cumulative MAE is

@@ -14,6 +14,7 @@
 #include <cmath>
 #include <deque>
 #include <functional>
+#include <type_traits>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -47,7 +48,7 @@ class NaiveWindow {
 };
 
 // The toolkit's nearest-rank median (lower middle element at even sizes),
-// exactly what the naive SlidingWindow::quantile(0.5) battery computed.
+// the rule every median and quantile in the toolkit uses.
 double naive_median(const std::vector<double>& sorted) {
   return sorted[(sorted.size() - 1) / 2];
 }
@@ -123,11 +124,19 @@ std::vector<std::pair<const char*, Gen>> generators() {
 
 constexpr int kSteps = 10'000;
 
+/// Calls f(std::integral_constant<std::size_t, W>{}) for each window W, so
+/// the methods' compile-time windows can be swept like a runtime parameter.
+template <std::size_t... Ws, class F>
+void for_windows(F&& f) {
+  (f(std::integral_constant<std::size_t, Ws>{}), ...);
+}
+
 TEST(IncrementalEquivalence, SlidingMedianMatchesNaiveExactly) {
-  for (std::size_t w : {1u, 2u, 3u, 5u, 30u, 31u, 128u}) {
+  for_windows<1, 2, 3, 5, 30, 31, 128>([](auto window) {
+    constexpr std::size_t w = decltype(window)::value;
     for (const auto& [name, gen] : generators()) {
       Rng rng(w * 1000003u + 17);
-      SlidingMedian inc(w);
+      SlidingMedian<w> inc;
       NaiveWindow ref(w);
       for (int i = 0; i < kSteps; ++i) {
         const double v = gen(i, rng);
@@ -138,15 +147,16 @@ TEST(IncrementalEquivalence, SlidingMedianMatchesNaiveExactly) {
         ASSERT_EQ(inc.predict(), got);
       }
     }
-  }
+  });
 }
 
 TEST(IncrementalEquivalence, TrimmedMeanMatchesNaiveExactly) {
-  for (std::size_t w : {1u, 2u, 5u, 30u, 100u}) {
+  for_windows<1, 2, 5, 30, 100>([](auto window) {
+    constexpr std::size_t w = decltype(window)::value;
     for (double trim : {0.0, 0.1, 0.3, 0.45, 0.5}) {
       for (const auto& [name, gen] : generators()) {
         Rng rng(w * 7919u + static_cast<std::uint64_t>(trim * 100));
-        TrimmedMean inc(w, trim);
+        TrimmedMean<w> inc(trim);
         NaiveWindow ref(w);
         for (int i = 0; i < kSteps / 4; ++i) {
           const double v = gen(i, rng);
@@ -158,14 +168,15 @@ TEST(IncrementalEquivalence, TrimmedMeanMatchesNaiveExactly) {
         }
       }
     }
-  }
+  });
 }
 
 TEST(IncrementalEquivalence, SlidingMeanMatchesNaiveToTolerance) {
-  for (std::size_t w : {1u, 5u, 30u}) {
+  for_windows<1, 5, 30>([](auto window) {
+    constexpr std::size_t w = decltype(window)::value;
     for (const auto& [name, gen] : generators()) {
       Rng rng(w + 31337);
-      SlidingMean inc(w);
+      SlidingMean<w> inc;
       NaiveWindow ref(w);
       double max_abs = 1.0;
       for (int i = 0; i < kSteps; ++i) {
@@ -177,14 +188,15 @@ TEST(IncrementalEquivalence, SlidingMeanMatchesNaiveToTolerance) {
             << "w=" << w << " gen=" << name << " step=" << i;
       }
     }
-  }
+  });
 }
 
 TEST(IncrementalEquivalence, TrendMatchesNaiveToTolerance) {
-  for (std::size_t w : {2u, 10u, 50u}) {
+  for_windows<2, 10, 50>([](auto window) {
+    constexpr std::size_t w = decltype(window)::value;
     for (const auto& [name, gen] : generators()) {
       Rng rng(w * 271u + 5);
-      TrendForecaster inc(w);
+      TrendForecaster<w> inc;
       NaiveWindow ref(w);
       double max_abs = 1.0;
       for (int i = 0; i < kSteps; ++i) {
@@ -200,7 +212,7 @@ TEST(IncrementalEquivalence, TrendMatchesNaiveToTolerance) {
             << "w=" << w << " gen=" << name << " step=" << i;
       }
     }
-  }
+  });
 }
 
 // --- Selector-level properties ---------------------------------------------
@@ -209,20 +221,20 @@ TEST(AdaptiveForecasterIncremental, CachedPredictionsMatchMethodPredict) {
   // The selector's cached standing predictions must be exactly what each
   // method would answer if asked directly — same battery, same trace.
   auto selector = AdaptiveForecaster::nws_default();
-  auto mirror = default_battery();
+  NwsBattery mirror;
+  const auto names = selector.method_names();
   Rng rng(404);
   for (int i = 0; i < 2000; ++i) {
     const double v = rng.uniform(0, 500);
     selector.observe(v);
-    for (auto& m : mirror) m->observe(v);
+    mirror.for_each([&](std::size_t, auto& m) { m.observe(v); });
     const Forecast f = selector.forecast();
     // The winner's value must equal that method's own standing prediction.
-    const auto names = selector.method_names();
-    for (std::size_t k = 0; k < mirror.size(); ++k) {
+    mirror.for_each([&](std::size_t k, auto& m) {
       if (names[k] == f.method) {
-        ASSERT_EQ(f.value, mirror[k]->predict()) << "step " << i;
+        ASSERT_EQ(f.value, m.predict()) << "step " << i;
       }
-    }
+    });
   }
 }
 
