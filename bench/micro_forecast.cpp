@@ -109,7 +109,7 @@ int main(int argc, char** argv) {
 
   // Bank record: hash lookup + observe, the full per-RPC path.
   EventForecasterBank bank;
-  const EventTag tag{"sched-0:601", 0x0202};
+  const EventTag tag{Endpoint{"sched-0", 601}, 0x0202};
   for (double v : make_series(512, 98)) bank.record(tag, v);
   const Timed rec = time_per_op(kObs, [&](std::size_t i) {
     bank.record(tag, series[i]);

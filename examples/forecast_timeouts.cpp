@@ -15,7 +15,7 @@ int main() {
   Rng rng(7);
   AdaptiveTimeout adaptive;
   StaticTimeout fixed(1 * kSecond);
-  const EventTag tag{"state-server:601", 0x0202};
+  const EventTag tag{Endpoint{"state-server", 601}, 0x0202};
 
   std::printf("%-6s %-12s %-12s %-12s %-8s %-8s\n", "req#", "rtt(ms)",
               "adaptive(ms)", "static(ms)", "a-fail", "s-fail");

@@ -24,23 +24,26 @@
 namespace ew {
 
 /// Identifier for a benchmarked program event: where it was serviced plus
-/// what kind of request it was.
+/// what kind of request it was. Kept as the Endpoint itself, so building a
+/// tag on every call formats nothing and hashing it reads no formatted
+/// string.
 struct EventTag {
-  std::string address;  // server contact address (Endpoint::to_string())
+  Endpoint server;  // server contact address
   MsgType type = 0;
 
   static EventTag of(const Endpoint& server, MsgType type) {
-    return EventTag{server.to_string(), type};
+    return EventTag{server, type};
   }
+  /// "host:port/type", the tag's name in logs and trace intern strings.
   [[nodiscard]] std::string to_string() const {
-    return address + "/" + std::to_string(type);
+    return server.to_string() + "/" + std::to_string(type);
   }
   friend bool operator==(const EventTag&, const EventTag&) = default;
 };
 
 struct EventTagHash {
   std::size_t operator()(const EventTag& t) const {
-    return std::hash<std::string>{}(t.address) * 1000003u ^ t.type;
+    return EndpointHash{}(t.server) * 1000003u ^ t.type;
   }
 };
 

@@ -224,15 +224,14 @@ void CallPolicy::on_attempt_abandoned(const Endpoint& to) {
   if (opts_.breaker_enabled) breakers_.at(to).release_probe();
 }
 
-void CallPolicy::on_attempt_result(const EventTag& tag, const Endpoint& to,
-                                   TimePoint now, TimePoint sent, Duration rtt,
-                                   bool ok) {
+void CallPolicy::on_attempt_result(const EventTag& tag, TimePoint now,
+                                   TimePoint sent, Duration rtt, bool ok) {
   timeouts_.on_result(tag, rtt, ok);
   if (opts_.breaker_enabled) {
-    CircuitBreaker& b = breakers_.at(to);
+    CircuitBreaker& b = breakers_.at(tag.server);
     const CircuitBreaker::State before = b.peek_state();
     b.on_result(now, sent, ok);  // rolls, then applies the outcome
-    note_breaker_edge(stats(), to, now, before, b.peek_state());
+    note_breaker_edge(stats(), tag.server, now, before, b.peek_state());
   }
 }
 

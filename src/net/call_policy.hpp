@@ -356,11 +356,11 @@ class CallPolicy {
   /// first); frees any half-open probe slot it held.
   void on_attempt_abandoned(const Endpoint& to);
 
-  /// Feed an attempt's transport outcome to the forecaster and breaker.
-  /// `sent` is the attempt's send time, used by the breaker to discount
-  /// stale evidence from before its last trip.
-  void on_attempt_result(const EventTag& tag, const Endpoint& to,
-                         TimePoint now, TimePoint sent, Duration rtt, bool ok);
+  /// Feed an attempt's transport outcome to the forecaster and to the
+  /// breaker of the tag's server. `sent` is the attempt's send time, used
+  /// by the breaker to discount stale evidence from before its last trip.
+  void on_attempt_result(const EventTag& tag, TimePoint now, TimePoint sent,
+                         Duration rtt, bool ok);
 
  private:
   Options opts_;

@@ -102,8 +102,6 @@ void Node::call(const Endpoint& to, MsgType type, Bytes payload,
 
   CallState c;
   c.cb = std::move(cb);
-  c.to = to;
-  c.type = type;
   c.tag = EventTag::of(to, type);
   c.opts = std::move(opts);
   c.started = now;
@@ -147,11 +145,12 @@ void Node::start_attempt(std::uint64_t call_id, Bytes payload, bool is_hedge) {
   // still in flight — that attempt may be the breaker's half-open probe,
   // and killing the call here would drop its response on the floor and
   // leak the probe slot (latching the breaker half-open forever).
-  if (!policy_.admit(c.to, now)) {
+  if (!policy_.admit(c.tag.server, now)) {
     policy_.stats().record_short_circuit();
     if (c.in_flight == 0) {
       complete_call(call_id,
-                    Error{Err::kUnavailable, "circuit open to " + c.to.to_string()});
+                    Error{Err::kUnavailable,
+                          "circuit open to " + c.tag.server.to_string()});
     }
     return;
   }
@@ -190,10 +189,10 @@ void Node::start_attempt(std::uint64_t call_id, Bytes payload, bool is_hedge) {
 
   Packet pkt;
   pkt.kind = PacketKind::kRequest;
-  pkt.type = c.type;
+  pkt.type = c.tag.type;
   pkt.seq = seq;
   pkt.payload = std::move(payload);
-  Status s = transport_.send(self_, c.to, std::move(pkt));
+  Status s = transport_.send(self_, c.tag.server, std::move(pkt));
   if (!s.ok()) {
     // Synchronous refusal: the attempt never left this host.
     auto pit = pending_.find(seq);
@@ -205,9 +204,8 @@ void Node::start_attempt(std::uint64_t call_id, Bytes payload, bool is_hedge) {
     // shrink time-outs for a peer that did nothing wrong. Other synchronous
     // failures are genuine destination trouble and are recorded.
     if (s.code() != Err::kOverloaded) {
-      policy_.on_attempt_result(c.tag, c.to, now, /*sent=*/now, 0,
-                                /*ok=*/false);
-      if (observer_) observer_(c.to, c.type, 0, /*success=*/false);
+      policy_.on_attempt_result(c.tag, now, /*sent=*/now, 0, /*ok=*/false);
+      if (observer_) observer_(c.tag.server, c.tag.type, 0, /*success=*/false);
     }
     on_attempt_failed(call_id, s.error());
   }
@@ -248,9 +246,11 @@ void Node::on_attempt_timeout(std::uint64_t seq) {
   CallState& c = cit->second;
   --c.in_flight;
   policy_.stats().record_timeout(a.timeout);
-  policy_.on_attempt_result(c.tag, c.to, exec_.now(), a.sent, a.timeout,
+  policy_.on_attempt_result(c.tag, exec_.now(), a.sent, a.timeout,
                             /*ok=*/false);
-  if (observer_) observer_(c.to, c.type, a.timeout, /*success=*/false);
+  if (observer_) {
+    observer_(c.tag.server, c.tag.type, a.timeout, /*success=*/false);
+  }
   // The server may still answer; if the call is then still undecided, that
   // late response completes it (see on_response).
   late_.emplace(seq, LateAttempt{a.call_id, a.sent});
@@ -266,7 +266,8 @@ void Node::on_attempt_failed(std::uint64_t call_id, Error err) {
   if (c.in_flight > 0) return;
   if (err_retryable(err.code) && schedule_retry(call_id)) return;
   if (!c.opts.trace_tag.empty()) {
-    EW_DEBUG << "call '" << c.opts.trace_tag << "' to " << c.to.to_string()
+    EW_DEBUG << "call '" << c.opts.trace_tag << "' to "
+             << c.tag.server.to_string()
              << " failed after " << c.attempts_started
              << " attempt(s): " << err.to_string();
   }
@@ -344,8 +345,8 @@ void Node::on_response(Packet response) {
     CallState& c = cit->second;
     --c.in_flight;
     const Duration rtt = now - a.sent;
-    policy_.on_attempt_result(c.tag, c.to, now, a.sent, rtt, /*ok=*/true);
-    if (observer_) observer_(c.to, c.type, rtt, /*success=*/true);
+    policy_.on_attempt_result(c.tag, now, a.sent, rtt, /*ok=*/true);
+    if (observer_) observer_(c.tag.server, c.tag.type, rtt, /*success=*/true);
     if (c.hedge_sent) policy_.stats().record_hedge_result(a.is_hedge);
     deliver_response(a.call_id, std::move(response.payload));
     return;
@@ -363,7 +364,7 @@ void Node::on_response(Packet response) {
     if (cit == calls_.end()) return;
     CallState& c = cit->second;
     policy_.stats().record_late_response(/*rescued=*/true);
-    policy_.on_attempt_result(c.tag, c.to, now, la.sent, now - la.sent,
+    policy_.on_attempt_result(c.tag, now, la.sent, now - la.sent,
                               /*ok=*/true);
     deliver_response(la.call_id, std::move(response.payload));
     return;
@@ -427,7 +428,7 @@ void Node::complete_call(std::uint64_t call_id, Result<Bytes> result) {
       exec_.cancel(it->second.timer);
       pending_.erase(it);
       remember_cancelled(seq);
-      policy_.on_attempt_abandoned(c.to);
+      policy_.on_attempt_abandoned(c.tag.server);
     }
     // Dead late_ entries: a response now is just a plain late response.
     late_.erase(seq);

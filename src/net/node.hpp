@@ -135,9 +135,7 @@ class Node {
   /// guarantees single delivery across retries and hedges.
   struct CallState {
     CallCallback cb;
-    Endpoint to;
-    MsgType type = 0;
-    EventTag tag;
+    EventTag tag;  // the server and message type called
     CallOptions opts;
     Bytes payload;               // kept only when a resend is possible
     TimePoint started = 0;

@@ -199,8 +199,8 @@ INSTANTIATE_TEST_SUITE_P(Regimes, SelectorProperty, ::testing::Range(0, 6));
 
 TEST(EventForecasterBank, TagsAreIndependent) {
   EventForecasterBank bank;
-  const EventTag a{"server-a:1", 1};
-  const EventTag b{"server-b:1", 1};
+  const EventTag a{Endpoint{"server-a", 1}, 1};
+  const EventTag b{Endpoint{"server-b", 1}, 1};
   for (int i = 0; i < 20; ++i) {
     bank.record(a, 100.0);
     bank.record(b, 900.0);
@@ -212,15 +212,15 @@ TEST(EventForecasterBank, TagsAreIndependent) {
 
 TEST(EventForecasterBank, SameAddressDifferentTypeIsDifferentEvent) {
   EventForecasterBank bank;
-  bank.record(EventTag{"s:1", 1}, 5.0);
-  EXPECT_TRUE(bank.knows(EventTag{"s:1", 1}));
-  EXPECT_FALSE(bank.knows(EventTag{"s:1", 2}));
+  bank.record(EventTag{Endpoint{"s", 1}, 1}, 5.0);
+  EXPECT_TRUE(bank.knows(EventTag{Endpoint{"s", 1}, 1}));
+  EXPECT_FALSE(bank.knows(EventTag{Endpoint{"s", 1}, 2}));
 }
 
 TEST(ScopedEventTimer, RecordsElapsedOnFinish) {
   EventForecasterBank bank;
   VirtualClock clock;
-  const EventTag tag{"x:1", 3};
+  const EventTag tag{Endpoint{"x", 1}, 3};
   {
     ScopedEventTimer t(bank, clock, tag);
     clock.advance(250 * kMillisecond);
@@ -235,7 +235,7 @@ TEST(ScopedEventTimer, RecordsElapsedOnFinish) {
 TEST(ScopedEventTimer, RecordsOnDestruction) {
   EventForecasterBank bank;
   VirtualClock clock;
-  const EventTag tag{"x:1", 4};
+  const EventTag tag{Endpoint{"x", 1}, 4};
   {
     ScopedEventTimer t(bank, clock, tag);
     clock.advance(100);
@@ -246,7 +246,7 @@ TEST(ScopedEventTimer, RecordsOnDestruction) {
 TEST(ScopedEventTimer, DismissSkipsRecording) {
   EventForecasterBank bank;
   VirtualClock clock;
-  const EventTag tag{"x:1", 5};
+  const EventTag tag{Endpoint{"x", 1}, 5};
   {
     ScopedEventTimer t(bank, clock, tag);
     t.dismiss();
@@ -256,7 +256,7 @@ TEST(ScopedEventTimer, DismissSkipsRecording) {
 
 TEST(EventTag, OfEndpointFormatsAddress) {
   const EventTag tag = EventTag::of(Endpoint{"host", 42}, 7);
-  EXPECT_EQ(tag.address, "host:42");
+  EXPECT_EQ(tag.server, (Endpoint{"host", 42}));
   EXPECT_EQ(tag.to_string(), "host:42/7");
 }
 

@@ -328,7 +328,7 @@ TEST(EventForecasterBank, RecordBatchEqualsRepeatedRecord) {
   std::vector<double> trace;
   Rng rng(21);
   for (int i = 0; i < 500; ++i) trace.push_back(rng.uniform(0, 100));
-  const EventTag tag{"s:1", 9};
+  const EventTag tag{Endpoint{"s", 1}, 9};
 
   EventForecasterBank a, b;
   for (double v : trace) a.record(tag, v);

@@ -7,7 +7,7 @@
 namespace ew {
 namespace {
 
-const EventTag kTag{"server:601", 0x0202};
+const EventTag kTag{Endpoint{"server", 601}, 0x0202};
 
 TEST(StaticTimeout, AlwaysSameValue) {
   StaticTimeout t(3 * kSecond);
@@ -81,8 +81,8 @@ TEST(AdaptiveTimeout, TracksLoadIncrease) {
 
 TEST(AdaptiveTimeout, PerTagIsolation) {
   AdaptiveTimeout t;
-  const EventTag fast{"fast:1", 1};
-  const EventTag slow{"slow:1", 1};
+  const EventTag fast{Endpoint{"fast", 1}, 1};
+  const EventTag slow{Endpoint{"slow", 1}, 1};
   for (int i = 0; i < 30; ++i) {
     t.on_result(fast, 10 * kMillisecond, true);
     t.on_result(slow, 5 * kSecond, true);
