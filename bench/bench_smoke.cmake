@@ -1,6 +1,9 @@
 # Smoke harness for the microbenchmarks: run each for one short iteration
 # and fail if either crashes or rejects its flags. Invoked by the
 # `bench_smoke` CTest target (see CMakeLists.txt here).
+
+# Forecaster hot path: --quick shrinks the iteration counts but still
+# asserts that building an AdaptiveForecaster allocates nothing.
 execute_process(COMMAND ${MICRO_FORECAST} --quick RESULT_VARIABLE rc_forecast)
 if(NOT rc_forecast EQUAL 0)
   message(FATAL_ERROR "micro_forecast --quick failed (exit ${rc_forecast})")
