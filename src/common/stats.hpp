@@ -279,11 +279,10 @@ class BinnedSeries {
   std::vector<std::uint64_t> sample_counts_;
 };
 
-/// Mean absolute error accumulator for forecaster scoring.
+/// Mean absolute (and squared) error accumulator for scoring a forecast
+/// stream against the truth (forecast_accuracy, the selector tests).
 class ErrorTracker {
  public:
-  /// Inline: the adaptive selector scores every battery member against each
-  /// new observation, so this runs |battery| times per measurement.
   void add(double predicted, double actual) {
     ++n_;
     const double e = predicted - actual;

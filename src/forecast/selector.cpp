@@ -48,7 +48,7 @@ std::size_t AdaptiveForecaster::best_index() const {
   // All MAEs first: the divisions are independent, so they pipeline instead
   // of each waiting on the previous comparison. Then a strict-< scan for the
   // first minimum.
-  std::array<double, kMethods> maes;
+  std::array<double, kMethods> maes{};
   for (std::size_t i = 0; i < kMethods; ++i) maes[i] = mae(i);
   std::size_t best = 0;
   for (std::size_t i = 1; i < kMethods; ++i) {
