@@ -1,6 +1,7 @@
 // Tests for the CRC32C kernels behind the wire frame checksum: the RFC 3720
-// vectors, agreement between the SSE4.2 and slice-by-8 kernels, chaining,
-// and the burst-error guarantee the frame relies on.
+// vectors, agreement between the SSE4.2 and slice-by-8 kernels (up to a
+// maximum-size frame, across the SSE4.2 kernel's interleaved block rounds),
+// chaining, and the burst-error guarantee the frame relies on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,6 +11,7 @@
 #include "common/crc32c.hpp"
 #include "common/rng.hpp"
 #include "common/serialize.hpp"
+#include "net/packet.hpp"
 
 namespace ew {
 namespace {
@@ -21,17 +23,21 @@ struct NamedKernel {
   Kernel fn;
 };
 
+/// The SSE4.2 kernel, or null where this build or this CPU has none.
+Kernel sse42_kernel() {
+#if defined(EW_CRC32C_SSE42)
+  if (__builtin_cpu_supports("sse4.2")) return &detail::Crc32cKernels::sse42;
+#endif
+  return nullptr;
+}
+
 std::vector<NamedKernel> kernels() {
   std::vector<NamedKernel> ks{
       {"dispatched", [](std::span<const std::uint8_t> d, std::uint32_t c) {
          return crc32c(d, c);
        }},
       {"slice8", &detail::Crc32cKernels::slice8}};
-#if defined(EW_CRC32C_SSE42)
-  if (__builtin_cpu_supports("sse4.2")) {
-    ks.push_back({"sse4.2", &detail::Crc32cKernels::sse42});
-  }
-#endif
+  if (const Kernel k = sse42_kernel()) ks.push_back({"sse4.2", k});
   return ks;
 }
 
@@ -87,6 +93,58 @@ TEST(Crc32c, KernelsAgreeOnEveryLengthAndAlignment) {
       }
     }
   }
+}
+
+TEST(Crc32c, KernelsAgreeAcrossInterleavedBlockBoundaries) {
+  // The SSE4.2 kernel runs three crc32 streams over adjacent 8 KiB blocks
+  // while 24 KiB remain, then over 256 B blocks while 768 B remain, and
+  // folds the streams together with "append N zero bytes" tables. Hold it
+  // to slice-by-8 around every round boundary, up to a maximum-size frame.
+  // Each length runs at all eight start offsets with a nonzero incoming crc,
+  // except 16 MiB, which runs at one odd offset: the test is in the
+  // sanitizer lane, so the total hashed stays within 64 MiB.
+  const Kernel fast = sse42_kernel();
+  if (fast == nullptr) GTEST_SKIP() << "no SSE4.2 kernel in this build or on this CPU";
+  constexpr std::size_t kShortRound = 3 * 256;
+  constexpr std::size_t kLongRound = 3 * 8192;
+  std::vector<std::size_t> lengths;
+  for (std::size_t k = 1; k <= 4; ++k) {
+    for (std::size_t d = 0; d <= 16; ++d) lengths.push_back(k * kShortRound + d - 8);
+  }
+  for (std::size_t d = 0; d <= 16; ++d) lengths.push_back(kLongRound + d - 8);
+  lengths.push_back(2 * kLongRound + kShortRound - 1);
+  lengths.push_back(std::size_t{1} << 20);
+
+  Rng rng(0x5EED);
+  const Bytes buf = random_buffer(rng, wire::kMaxPayload + 8);
+  const std::span<const std::uint8_t> all(buf);
+  std::size_t hashed = 0;
+  const auto agree = [&](std::span<const std::uint8_t> piece, std::uint32_t seed) {
+    hashed += 2 * piece.size();
+    return fast(piece, seed) == detail::Crc32cKernels::slice8(piece, seed);
+  };
+  for (const std::size_t len : lengths) {
+    const auto seed = static_cast<std::uint32_t>(len * 2654435761u) | 1u;
+    for (std::size_t align = 0; align < 8; ++align) {
+      ASSERT_TRUE(agree(all.subspan(align, len), seed))
+          << "align " << align << " len " << len;
+    }
+  }
+  ASSERT_TRUE(agree(all.subspan(3, wire::kMaxPayload), 0x9E3779B9u))
+      << "len " << wire::kMaxPayload;
+
+  // crc32c(a ++ b), chained, with the cut on every 256 B block boundary of a
+  // buffer one long round, two short rounds and a word long, so each piece
+  // starts and ends its rounds somewhere different from the whole.
+  const auto whole = all.subspan(5, kLongRound + 2 * kShortRound + 8);
+  const std::uint32_t want = detail::Crc32cKernels::slice8(whole, 0x01234567u);
+  hashed += whole.size();
+  for (std::size_t cut = 0; cut <= whole.size(); cut += 256) {
+    ASSERT_EQ(fast(whole.subspan(cut), fast(whole.first(cut), 0x01234567u)), want)
+        << "cut " << cut;
+    hashed += whole.size();
+  }
+  EXPECT_LE(hashed, std::size_t{64} << 20);
 }
 
 TEST(Crc32c, ChainsAcrossPieces) {
