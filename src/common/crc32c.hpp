@@ -4,8 +4,10 @@
 // One entry point, dispatched once at load time by CPU capability (the
 // same scheme as the OrderedWindow kernels in stats.cpp): the SSE4.2
 // crc32 instruction where the CPU has it, a portable slice-by-8 table
-// kernel elsewhere. Both kernels compute the same function; tests hold
-// them to each other.
+// kernel elsewhere. The SSE4.2 kernel runs three interleaved instruction
+// streams over inputs of 768 B and more and folds them with "append N zero
+// bytes" tables (crc32c_sse42.cpp). Both kernels compute the same
+// function; tests hold them to each other up to a 16 MiB frame.
 #pragma once
 
 #include <cstdint>

@@ -15,9 +15,9 @@
 // payload with a byte-serial FNV-1a, which had two faults: it left the kind
 // byte uncovered, so one flipped bit could turn a kRequest into a kOneWay
 // (a silently unanswered call), and FNV guarantees nothing about burst
-// errors, where CRC32C catches every burst of up to 32 bits. It is also
-// about 9x faster on 4 KiB frames (one crc32 instruction per 8 bytes where
-// the CPU has SSE4.2).
+// errors, where CRC32C catches every burst of up to 32 bits. It is also far
+// cheaper: where the CPU has SSE4.2 it runs on the crc32 instruction, three
+// independent streams at a time on frames of 768 B and more.
 #pragma once
 
 #include <cstdint>
