@@ -171,6 +171,11 @@ bool GossipServer::admit(const Registration& reg) {
   if (mine.types.empty()) return false;
   auto& entry = registry_[mine.component];
   const bool changed = entry.reg.types != mine.types;
+  if (changed) {
+    const Bytes wire = mine.serialize();
+    entry.reg_hash = fnv1a64(
+        std::string_view(reinterpret_cast<const char*>(wire.data()), wire.size()));
+  }
   entry.reg = std::move(mine);
   entry.lease_expiry = node_.executor().now() + opts_.lease;
   entry.misses = 0;
@@ -222,14 +227,8 @@ void GossipServer::on_reg_forward(const IncomingMessage& msg, const Responder& r
 }
 
 std::uint64_t GossipServer::reg_rollup_checksum() const {
-  // XOR of per-registration hashes: order-independent, and any admitted,
-  // dropped, or re-typed registration flips the rollup.
   std::uint64_t acc = 0;
-  for (const auto& [ep, entry] : registry_) {
-    const Bytes wire = entry.reg.serialize();
-    acc ^= fnv1a64(std::string_view(reinterpret_cast<const char*>(wire.data()),
-                                    wire.size()));
-  }
+  for (const auto& [ep, entry] : registry_) acc ^= entry.reg_hash;
   return acc;
 }
 

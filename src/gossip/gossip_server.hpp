@@ -94,10 +94,15 @@ class GossipServer {
   [[nodiscard]] std::uint64_t last_convergence_rounds() const {
     return last_convergence_rounds_;
   }
+  /// XOR over the registrations held here of fnv1a64(serialize()): the
+  /// registry half of every digest. Order-independent, and any admitted,
+  /// dropped, or re-typed registration flips it.
+  [[nodiscard]] std::uint64_t reg_rollup_checksum() const;
 
  private:
   struct Entry {
     Registration reg;
+    std::uint64_t reg_hash = 0;  // fnv1a64(reg.serialize()), set with reg
     TimePoint lease_expiry = 0;
     int misses = 0;
   };
@@ -123,7 +128,6 @@ class GossipServer {
   void refresh_my_rollup();
   void merge_rollups(const ParentDigest& d);
   [[nodiscard]] Digest make_digest() const;
-  [[nodiscard]] std::uint64_t reg_rollup_checksum() const;
   [[nodiscard]] std::string clique_label() const;
 
   Node& node_;

@@ -320,6 +320,47 @@ TEST_F(GossipServerTest, ParentTierRollupsPropagateBetweenLeaders) {
   }
 }
 
+/// The registry rollup by its definition: XOR over the registrations of
+/// fnv1a64 of each one's wire bytes.
+std::uint64_t rollup_of(const std::vector<Registration>& regs) {
+  std::uint64_t acc = 0;
+  for (const auto& r : regs) {
+    const Bytes wire = r.serialize();
+    acc ^= fnv1a64(std::string_view(reinterpret_cast<const char*>(wire.data()),
+                                    wire.size()));
+  }
+  return acc;
+}
+
+TEST_F(GossipServerTest, RegistryRollupMatchesSerializeAndHashDefinition) {
+  constexpr MsgType kSecondState = 0x0442;
+  build(1);
+  EXPECT_EQ(servers_[0]->reg_rollup_checksum(), 0u);
+  auto* a = add_component("comp-a");
+  auto* b = add_component("comp-b");
+  events_.run_for(kMinute);
+  ASSERT_EQ(servers_[0]->registered_components(), 2u);
+  const Registration b_reg{b->node->self(), {kCounterState}};
+  EXPECT_EQ(servers_[0]->reg_rollup_checksum(),
+            rollup_of({{a->node->self(), {kCounterState}}, b_reg}));
+
+  // Re-type: a exposes a second type and its next renewal carries both.
+  a->sync->expose(kSecondState, SyncClient::StateHandlers{
+                                    [] { return versioned_blob(1, {}); },
+                                    [](const Bytes&) {},
+                                });
+  events_.run_for(kMinute);
+  const Registration a_retyped{a->node->self(), {kCounterState, kSecondState}};
+  EXPECT_EQ(servers_[0]->reg_rollup_checksum(), rollup_of({a_retyped, b_reg}));
+
+  // Drop: b's host dies and the gossip purges it after its missed polls.
+  b->sync->stop();
+  transport_.set_host_up("comp-b", false);
+  events_.run_for(10 * kMinute);
+  ASSERT_EQ(servers_[0]->registered_components(), 1u);
+  EXPECT_EQ(servers_[0]->reg_rollup_checksum(), rollup_of({a_retyped}));
+}
+
 TEST_F(GossipServerTest, UnexposedTypeRejected) {
   build(1);
   add_component("comp-a");
