@@ -8,6 +8,12 @@
 // operator new (the micro_obs pattern), so the single-allocation/zero-copy
 // claims are asserted, not assumed.
 //
+// The frame arm repeats the encode, routed-encode and view-parse legs at a
+// 384 KiB payload, the size of an everybench sched_batch frame, where the
+// frame checksum is most of the cost, under the same allocation gates, and
+// times crc32c() alone over that payload (crc32c_gbps_393216). Its legs
+// are kept out of `checksum`, so the pinned value predates them.
+//
 // The codec arm times encode and decode of the three largest payloads the
 // message codecs carry: a ReportBatch of 8,192 reports with a 10-vertex
 // graph each (the everybench sched_batch shape), a DirectiveBatch of 8,192
@@ -29,11 +35,14 @@
 //    "ns_encode_routed_64":...,"ns_encode_routed_4096":...,
 //    "ns_parse_copy_64":...,"ns_parse_copy_4096":...,
 //    "ns_parse_view_64":...,"ns_parse_view_4096":...,
+//    "ns_encode_393216":...,"ns_encode_routed_393216":...,
+//    "ns_parse_view_393216":...,"crc32c_gbps_393216":...,
 //    "encode_allocs_per_frame":...,"parse_view_allocs":...,
 //    "codec_iters":...,
 //    "ns_report_batch_encode":...,"ns_report_batch_decode":...,
 //    "allocs_report_batch_encode":...,"allocs_report_batch_decode":...,
 //    (the same four for directive_batch and delta),"checksum":...}
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -91,14 +100,21 @@ Packet make_packet(std::size_t payload_bytes) {
 }
 
 struct Leg {
+  std::size_t iters = 0;
   double ns_per_op = 0;
   double checksum = 0;           // defeats dead-code elimination
   std::uint64_t leg_allocs = 0;  // steady-state allocations across the leg
+
+  /// Allocations per operation, rounded up: any extra allocation shows.
+  [[nodiscard]] std::uint64_t allocs_per_op() const {
+    return (leg_allocs + iters - 1) / iters;
+  }
 };
 
 template <typename F>
 Leg run_leg(std::size_t iters, F&& op) {
   Leg leg;
+  leg.iters = iters;
   (void)op(0);  // warm-up: first-touch buffer growth is not steady state
   const std::uint64_t a0 = allocs();
   const double t0 = now_ns();
@@ -229,6 +245,7 @@ int main(int argc, char** argv) {
   }
   const std::size_t kIters = quick ? 20'000 : 1'000'000;
   const std::size_t kCodecIters = quick ? 3 : 200;
+  const std::size_t kFrameIters = quick ? 50 : 5'000;
 
   const Packet small = make_packet(64);
   const Packet large = make_packet(4096);
@@ -245,6 +262,18 @@ int main(int argc, char** argv) {
   const Leg copy_4096 = bench_parse_copy(kIters, large_frame);
   const Leg view_64 = bench_parse_view(kIters, small_frame);
   const Leg view_4096 = bench_parse_view(kIters, large_frame);
+
+  // The frame arm: a sched_batch-sized 384 KiB payload.
+  const Packet frame_packet = make_packet(393216);
+  const Bytes frame_bytes = encode_packet(frame_packet);
+  const Leg enc_384k = bench_encode(kFrameIters, frame_packet);
+  const Leg encr_384k = bench_encode_routed(kFrameIters, frame_packet, src, dst);
+  const Leg view_384k = bench_parse_view(kFrameIters, frame_bytes);
+  const Leg crc_384k = run_leg(kFrameIters, [&](std::size_t i) {
+    return static_cast<double>(crc32c(frame_packet.payload, static_cast<std::uint32_t>(i)));
+  });
+  volatile double frame_sink = enc_384k.checksum + encr_384k.checksum + crc_384k.checksum;
+  (void)frame_sink;
 
   struct CodecArm {
     const char* name;
@@ -264,15 +293,15 @@ int main(int argc, char** argv) {
   for (const auto& arm : arms) checksum += arm.legs.encode.checksum + arm.legs.decode.checksum;
 
   // Gate 1: encoding is one allocation per frame (the frame buffer itself),
-  // for both the bare and the routed encoder, at both payload sizes.
-  const std::uint64_t encode_allocs_per_frame =
-      (enc_64.leg_allocs + enc_4096.leg_allocs + encr_64.leg_allocs +
-       encr_4096.leg_allocs) /
-      (4 * kIters);
+  // for both the bare and the routed encoder, at every payload size.
+  std::uint64_t encode_allocs_per_frame = 0;
+  for (const Leg* leg : {&enc_64, &enc_4096, &enc_384k, &encr_64, &encr_4096, &encr_384k}) {
+    encode_allocs_per_frame = std::max(encode_allocs_per_frame, leg->allocs_per_op());
+  }
   // Gate 2: the zero-copy parse arm allocates nothing in steady state (the
   // reassembly buffer was warmed before counting).
   const std::uint64_t parse_view_allocs =
-      view_64.leg_allocs + view_4096.leg_allocs;
+      view_64.leg_allocs + view_4096.leg_allocs + view_384k.leg_allocs;
 
   bench::JsonWriter line;
   line.u64("iters", kIters)
@@ -285,6 +314,11 @@ int main(int argc, char** argv) {
       .f("ns_parse_copy_4096", copy_4096.ns_per_op, 2)
       .f("ns_parse_view_64", view_64.ns_per_op, 2)
       .f("ns_parse_view_4096", view_4096.ns_per_op, 2)
+      .f("ns_encode_393216", enc_384k.ns_per_op, 0)
+      .f("ns_encode_routed_393216", encr_384k.ns_per_op, 0)
+      .f("ns_parse_view_393216", view_384k.ns_per_op, 0)
+      .f("crc32c_gbps_393216", static_cast<double>(frame_packet.payload.size()) /
+                                   crc_384k.ns_per_op, 2)
       .u64("encode_allocs_per_frame", encode_allocs_per_frame)
       .u64("parse_view_allocs", parse_view_allocs)
       .u64("codec_iters", kCodecIters);
@@ -331,7 +365,7 @@ int main(int argc, char** argv) {
     }
   }
   if (copy_64.checksum < 0 || copy_4096.checksum < 0 ||
-      view_64.checksum < 0 || view_4096.checksum < 0) {
+      view_64.checksum < 0 || view_4096.checksum < 0 || view_384k.checksum < 0) {
     std::fprintf(stderr, "micro_packet: a parse leg failed to round-trip\n");
     ok = false;
   }
