@@ -18,6 +18,13 @@
 // response that beats a pending retry completes the call instead of being
 // wasted.
 //
+// Bookkeeping (DESIGN.md §7): each call lives in one slot of a call arena,
+// and each attempt in one entry of a seq ring indexed by `seq & (size - 1)`.
+// An entry is pending, late (timed out, still able to complete its call) or
+// orphaned (its call finished first; a response is a counted duplicate). A
+// call's live attempts chain newest to oldest through the ring, so finishing
+// a call touches only its own attempts.
+//
 // Response payloads are wrapped in a 1-byte status so servers can signal
 // application-level rejection (e.g. the persistent-state sanity check of
 // Section 3.1.2) distinctly from transport failure; the status byte maps
@@ -27,11 +34,9 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/clock.hpp"
@@ -116,24 +121,39 @@ class Node {
   /// Fire-and-forget message.
   Status send_oneway(const Endpoint& to, MsgType type, Bytes payload);
 
+  /// The observer runs inside the Node's attempt bookkeeping and must not
+  /// call back into this Node.
   void set_rtt_observer(RttObserver obs) { observer_ = std::move(obs); }
 
   /// Retry/hedge/breaker policy plus the node's adaptive time-outs and
   /// stats sink. Mutable so components can enable breakers, pre-seed
-  /// forecasts, or inject a CallStatsSink.
+  /// forecasts, or inject an AggregateCallStats.
   [[nodiscard]] CallPolicy& call_policy() { return policy_; }
   [[nodiscard]] const CallPolicy& call_policy() const { return policy_; }
 
   [[nodiscard]] const Endpoint& self() const { return self_; }
   [[nodiscard]] Executor& executor() { return exec_; }
-  [[nodiscard]] std::size_t outstanding_calls() const { return calls_.size(); }
+  [[nodiscard]] std::size_t outstanding_calls() const;
 
  private:
   friend class Responder;
 
+  static constexpr std::uint32_t kNoSlot = UINT32_MAX;
+
+  /// A call's arena slot and the slot's generation when the call began.
+  /// Timer closures hold one: the generation moves on when the call ends,
+  /// so a closure left over from a finished call finds nothing.
+  struct CallRef {
+    std::uint32_t slot = 0;
+    std::uint32_t gen = 0;
+  };
+
   /// One logical call: callback, policy, and the attempt bookkeeping that
   /// guarantees single delivery across retries and hedges.
   struct CallState {
+    std::uint64_t id = 0;  // monotone call id; 0 marks a free slot
+    std::uint32_t gen = 0;
+    std::uint32_t next_free = kNoSlot;  // free-list link while free
     CallCallback cb;
     EventTag tag;  // the server and message type called
     CallOptions opts;
@@ -147,21 +167,20 @@ class Node {
     std::uint32_t attempts_started = 0;  // retries; hedges not counted
     std::uint32_t in_flight = 0;
     bool hedge_sent = false;
-    std::vector<std::uint64_t> seqs;     // every seq this call ever used
+    std::uint64_t last_seq = 0;  // newest pending or late attempt; 0 = none
   };
 
-  /// One wire attempt, matched to its response by seq.
+  /// One wire attempt: the seq ring entry at `seq & (ring size - 1)`.
   struct Attempt {
-    std::uint64_t call_id = 0;
+    enum class State : std::uint8_t { kFree, kPending, kLate, kOrphaned };
+    std::uint64_t seq = 0;
+    std::uint64_t prev = 0;  // the call's next older pending or late attempt
+    CallRef call;
     TimerId timer = kInvalidTimer;
     TimePoint sent = 0;
     Duration timeout = 0;
+    State state = State::kFree;
     bool is_hedge = false;
-  };
-
-  struct LateAttempt {
-    std::uint64_t call_id = 0;
-    TimePoint sent = 0;
   };
 
   void on_packet(IncomingMessage msg);
@@ -169,20 +188,34 @@ class Node {
   void send_reply(const Responder::Reply& reply, std::uint8_t code,
                   const Bytes& body);
   void on_response(Packet response);
-  void start_attempt(std::uint64_t call_id, Bytes payload, bool is_hedge);
-  void maybe_schedule_hedge(std::uint64_t call_id);
+  void start_attempt(CallRef ref, Bytes payload, bool is_hedge);
+  void maybe_schedule_hedge(CallRef ref);
   void on_attempt_timeout(std::uint64_t seq);
   /// An attempt ended in a transport failure; retry or complete the call.
-  void on_attempt_failed(std::uint64_t call_id, Error err);
+  void on_attempt_failed(CallRef ref, Error err);
   /// Schedule the next retry attempt if budget and deadline allow.
-  bool schedule_retry(std::uint64_t call_id);
+  bool schedule_retry(CallRef ref);
   /// Completes a call with a response payload: its status byte, then the
   /// body (ok) or an error message.
-  void deliver_response(std::uint64_t call_id, Bytes payload);
-  /// Single point of delivery: erases the call (cancelling every timer and
-  /// orphaning every outstanding seq) and then invokes the callback.
-  void complete_call(std::uint64_t call_id, Result<Bytes> result);
-  void remember_cancelled(std::uint64_t seq);
+  void deliver_response(CallRef ref, Bytes payload);
+  /// Single point of delivery: frees the call's slot (cancelling every
+  /// timer, orphaning its pending attempts and freeing its late ones) and
+  /// then invokes the callback.
+  void complete_call(CallRef ref, Result<Bytes> result);
+
+  /// The live call `ref` names, or nullptr once that call has ended. The
+  /// pointer dies with the next call(), so never hold it across a callback
+  /// or start_attempt().
+  CallState* find_call(CallRef ref);
+  CallRef open_call();
+  void close_call(std::uint32_t slot);
+  /// The pending, late or orphaned attempt with `seq`, or nullptr.
+  Attempt* find_attempt(std::uint64_t seq);
+  /// The entry for a new `seq`, doubling the ring until it would overwrite
+  /// no pending or late attempt. Invalidates references into the ring.
+  Attempt& claim(std::uint64_t seq);
+  /// Take `seq` out of the call's chain of pending and late attempts.
+  void unlink(CallState& c, std::uint64_t seq);
 
   Executor& exec_;
   Transport& transport_;
@@ -192,17 +225,9 @@ class Node {
   std::uint64_t next_call_id_ = 1;
   CallPolicy policy_;
   std::unordered_map<MsgType, ServerHandler> handlers_;
-  std::unordered_map<std::uint64_t, CallState> calls_;     // by call id
-  std::unordered_map<std::uint64_t, Attempt> pending_;     // by seq
-  /// Attempts whose timer fired while their call lived on (retrying or
-  /// hedged): a response here is the paper's spurious time-out, and it can
-  /// still complete the call. Entries die with their call.
-  std::unordered_map<std::uint64_t, LateAttempt> late_;
-  /// Seqs orphaned by call completion (hedge losers, superseded retries).
-  /// Their responses are expected duplicates, counted and dropped. Bounded
-  /// FIFO so a seq leaked by a never-answering server cannot grow it.
-  std::unordered_set<std::uint64_t> cancelled_;
-  std::deque<std::uint64_t> cancelled_order_;
+  std::vector<CallState> arena_;      // calls, by slot
+  std::uint32_t free_slot_ = kNoSlot;  // head of the free-slot list
+  std::vector<Attempt> ring_;          // attempts, by seq; empty until a call
   RttObserver observer_;
 };
 
