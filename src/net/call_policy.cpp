@@ -164,7 +164,7 @@ AggregateCallStats& process_call_stats() {
   return *stats;
 }
 
-CallStatsSink& CallPolicy::stats() const {
+AggregateCallStats& CallPolicy::stats() const {
   return sink_ != nullptr ? *sink_ : process_call_stats();
 }
 
@@ -196,7 +196,7 @@ namespace {
 // Surface a breaker edge to the stats sink and, when tracing, the span
 // ring. The address is interned only on an actual transition, so the
 // steady-state path never allocates.
-void note_breaker_edge(CallStatsSink& sink, const Endpoint& to, TimePoint now,
+void note_breaker_edge(AggregateCallStats& sink, const Endpoint& to, TimePoint now,
                        CircuitBreaker::State before,
                        CircuitBreaker::State after) {
   if (before == after) return;

@@ -17,8 +17,8 @@
 //     calls immediately (kUnavailable) and probes half-open for recovery.
 //
 // CallPolicy bundles the three with the AdaptiveTimeout that prices each
-// attempt, plus an injectable CallStatsSink replacing the old process-wide
-// Node::GlobalStats.
+// attempt, plus an injectable AggregateCallStats sink replacing the old
+// process-wide Node::GlobalStats.
 #pragma once
 
 #include <cstdint>
@@ -126,39 +126,7 @@ struct CallOptions {
   }
 };
 
-/// Observer for everything the call layer does. Replaces the process-wide
-/// Node::GlobalStats static: a Node reports to whichever sink its CallPolicy
-/// holds, and the default sink is the process-wide aggregate so existing
-/// benches keep their counters.
-class CallStatsSink {
- public:
-  virtual ~CallStatsSink() = default;
-  virtual void record_call_start() = 0;
-  /// ok=false covers timeouts, transport failures, rejections, shed calls.
-  virtual void record_call_end(bool ok, Duration latency) = 0;
-  /// One network attempt issued. `retry` marks attempts after the first;
-  /// `hedge` marks forecast-triggered duplicates.
-  virtual void record_attempt(bool retry, bool hedge) = 0;
-  /// An attempt timer fired after waiting `timeout`.
-  virtual void record_timeout(Duration timeout) = 0;
-  /// A response arrived for an attempt that had already timed out. `rescued`
-  /// means the call was still live and the response completed it.
-  virtual void record_late_response(bool rescued) = 0;
-  /// A response for an attempt cancelled by retry/hedge completion arrived
-  /// after its call finished; it was dropped, not delivered twice.
-  virtual void record_duplicate_response() = 0;
-  /// A hedged call completed; `hedge_won` tells whether the duplicate beat
-  /// the original.
-  virtual void record_hedge_result(bool hedge_won) = 0;
-  /// A call was shed without a network attempt because the destination's
-  /// circuit breaker was open.
-  virtual void record_short_circuit() = 0;
-  /// A destination's circuit breaker changed state. `from`/`to` are
-  /// CircuitBreaker::State values cast to int.
-  virtual void record_breaker_transition(int from, int to) = 0;
-};
-
-/// Default sink: a registry-backed adapter. Every record_* lands in named
+/// The call layer's stats sink: everything Node::call does lands in named
 /// obs instruments (net.calls.started, net.attempts, net.call.latency_us,
 /// ... — DESIGN.md §8), so the call layer shows up in obs::snapshot_json()
 /// next to gossip and scheduler series instead of in a private struct.
@@ -167,35 +135,50 @@ class CallStatsSink {
 /// sink stays isolated, exactly like the old struct-of-ints. Binding an
 /// external registry (process_call_stats() binds obs::registry()) shares
 /// the instruments with the rest of the process.
-class AggregateCallStats final : public CallStatsSink {
+class AggregateCallStats {
  public:
   AggregateCallStats();
   explicit AggregateCallStats(obs::Registry& reg);
 
-  void record_call_start() override { calls_started_->inc(); }
-  void record_call_end(bool ok, Duration latency) override {
+  void record_call_start() { calls_started_->inc(); }
+  /// ok=false covers timeouts, transport failures, rejections, shed calls.
+  void record_call_end(bool ok, Duration latency) {
     (ok ? calls_ok_ : calls_failed_)->inc();
     call_latency_us_->record(static_cast<std::uint64_t>(latency));
   }
-  void record_attempt(bool retry, bool hedge) override {
+  /// One network attempt issued. `retry` marks attempts after the first;
+  /// `hedge` marks forecast-triggered duplicates.
+  void record_attempt(bool retry, bool hedge) {
     attempts_->inc();
     if (retry) retries_->inc();
     if (hedge) hedges_->inc();
   }
-  void record_timeout(Duration timeout) override {
+  /// An attempt timer fired after waiting `timeout`.
+  void record_timeout(Duration timeout) {
     timeouts_fired_->inc();
     timeout_wait_us_->record(static_cast<std::uint64_t>(timeout));
   }
-  void record_late_response(bool rescued) override {
+  /// A response arrived for an attempt that had already timed out, or for
+  /// no attempt the node still knows. `rescued` means the call was still
+  /// live and the response completed it.
+  void record_late_response(bool rescued) {
     late_responses_->inc();
     if (rescued) late_rescues_->inc();
   }
-  void record_duplicate_response() override { duplicate_responses_->inc(); }
-  void record_hedge_result(bool hedge_won) override {
+  /// A response for an attempt cancelled by retry/hedge completion arrived
+  /// after its call finished; it was dropped, not delivered twice.
+  void record_duplicate_response() { duplicate_responses_->inc(); }
+  /// A hedged call completed; `hedge_won` tells whether the duplicate beat
+  /// the original.
+  void record_hedge_result(bool hedge_won) {
     (hedge_won ? hedge_wins_ : hedge_losses_)->inc();
   }
-  void record_short_circuit() override { short_circuits_->inc(); }
-  void record_breaker_transition(int /*from*/, int to) override;
+  /// A call was shed without a network attempt because the destination's
+  /// circuit breaker was open.
+  void record_short_circuit() { short_circuits_->inc(); }
+  /// A destination's circuit breaker changed state. `from`/`to` are
+  /// CircuitBreaker::State values cast to int.
+  void record_breaker_transition(int from, int to);
 
   /// The registry holding this sink's instruments — the owned private one
   /// for default-constructed sinks, the shared one otherwise. Callers read
@@ -337,8 +320,8 @@ class CallPolicy {
   [[nodiscard]] bool breaker_enabled() const { return opts_.breaker_enabled; }
 
   /// Route stats to `sink`; nullptr restores the process-wide aggregate.
-  void set_stats_sink(CallStatsSink* sink) { sink_ = sink; }
-  [[nodiscard]] CallStatsSink& stats() const;
+  void set_stats_sink(AggregateCallStats* sink) { sink_ = sink; }
+  [[nodiscard]] AggregateCallStats& stats() const;
 
   /// Time-out for the next attempt of a call with these options.
   [[nodiscard]] Duration attempt_timeout(const EventTag& tag,
@@ -366,7 +349,7 @@ class CallPolicy {
   Options opts_;
   AdaptiveTimeout timeouts_;
   CircuitBreakerBank breakers_;
-  CallStatsSink* sink_ = nullptr;  // nullptr = process_call_stats()
+  AggregateCallStats* sink_ = nullptr;  // nullptr = process_call_stats()
 };
 
 }  // namespace ew

@@ -357,7 +357,7 @@ TEST(ObsDeterminism, TracingIsPureObservation) {
 }
 
 // ---------------------------------------------------------------------------
-// The CallStatsSink bridge: a default-constructed AggregateCallStats owns a
+// The call-stats bridge: a default-constructed AggregateCallStats owns a
 // private registry (bench isolation) that callers read by obs::names key.
 
 TEST(ObsCallStats, DefaultSinkIsIsolatedFromProcessRegistry) {
