@@ -239,7 +239,7 @@ int main(int argc, char** argv) {
   // leaves with a full lease of freshly minted units.
   for (std::size_t i = 0; i < kClients; ++i) {
     driver.clients.push_back(
-        DriverClient{Endpoint{"c" + std::to_string(i), 2000}});
+        DriverClient{.ep = Endpoint{"c" + std::to_string(i), 2000}, .held = {}});
   }
   for (std::size_t i = 0; i < kClients; ++i) {
     events.schedule(static_cast<Duration>(i) * 50 * kMillisecond,
@@ -285,7 +285,7 @@ int main(int argc, char** argv) {
   const std::size_t first_replacement = driver.clients.size();
   for (std::size_t i = 0; i < kKills; ++i) {
     driver.clients.push_back(
-        DriverClient{Endpoint{"r" + std::to_string(i), 2000}});
+        DriverClient{.ep = Endpoint{"r" + std::to_string(i), 2000}, .held = {}});
   }
   for (std::size_t i = 0; i < kKills; ++i) {
     events.schedule(static_cast<Duration>(i) * 100 * kMillisecond,

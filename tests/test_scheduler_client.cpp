@@ -725,7 +725,9 @@ TEST_F(SchedulerClientTest, ShardedRestartReplaysPerShardWithoutDoubleIssue) {
     const auto ids = pool.shard(k).assigned_units();
     for (std::size_t i = 0; i < ids.size(); ++i) {
       EXPECT_EQ((ids[i] - 1) % 2, k) << "unit outside its shard's range";
-      if (i > 0) EXPECT_NE(ids[i], ids[i - 1]) << "double-issued unit";
+      if (i > 0) {
+        EXPECT_NE(ids[i], ids[i - 1]) << "double-issued unit";
+      }
     }
   }
 }
