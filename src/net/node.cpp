@@ -37,7 +37,8 @@ void Responder::emit(std::uint8_t code, const Bytes& payload) const {
 }
 
 Node::Node(Executor& exec, Transport& transport, Endpoint self)
-    : exec_(exec), transport_(transport), self_(std::move(self)) {}
+    : exec_(exec), transport_(transport), self_(std::move(self)),
+      ring_(kRingFloor) {}
 
 Node::~Node() { stop(); }
 
@@ -58,17 +59,10 @@ void Node::stop() {
   // routinely called during teardown, after the objects owning those
   // callbacks are gone. Components that need completion guarantees keep
   // their own liveness flags.
-  for (const Attempt& a : ring_) {
-    if (a.state == Attempt::State::kPending) exec_.cancel(a.timer);
-  }
-  ring_.clear();
+  for (const Attempt& a : ring_) exec_.cancel(a.timer);  // no-op once fired
+  ring_.assign(ring_.size(), Attempt{});
   for (std::uint32_t slot = 0; slot < arena_.size(); ++slot) {
-    const CallState& c = arena_[slot];
-    if (c.id == 0) continue;
-    exec_.cancel(c.deadline_timer);
-    exec_.cancel(c.retry_timer);
-    exec_.cancel(c.hedge_timer);
-    close_call(slot);
+    if (arena_[slot].id != 0) close_call(slot);
   }
 }
 
@@ -83,21 +77,14 @@ void Node::fail_outstanding(Err code) {
   // complete_call frees slots (and its callbacks may start new calls);
   // snapshot the live calls and walk them in call-id order so chaos
   // replays are bit-identical.
-  std::vector<std::pair<std::uint64_t, CallRef>> live;
+  std::vector<CallRef> live;
   for (std::uint32_t slot = 0; slot < arena_.size(); ++slot) {
-    const CallState& c = arena_[slot];
-    if (c.id != 0) live.emplace_back(c.id, CallRef{slot, c.gen});
+    if (arena_[slot].id != 0) live.push_back(CallRef{slot, arena_[slot].gen});
   }
-  std::sort(live.begin(), live.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (const auto& [id, ref] : live) {
-    complete_call(ref, Error{code, "process crashed"});
-  }
-}
-
-std::size_t Node::outstanding_calls() const {
-  return static_cast<std::size_t>(std::count_if(
-      arena_.begin(), arena_.end(), [](const CallState& c) { return c.id != 0; }));
+  std::sort(live.begin(), live.end(), [this](CallRef a, CallRef b) {
+    return arena_[a.slot].id < arena_[b.slot].id;
+  });
+  for (CallRef ref : live) complete_call(ref, Error{code, "process crashed"});
 }
 
 void Node::handle(MsgType type, ServerHandler handler) {
@@ -109,8 +96,13 @@ void Node::call(const Endpoint& to, MsgType type, Bytes payload,
   const TimePoint now = exec_.now();
   policy_.stats().record_call_start();
 
-  const CallRef ref = open_call();
+  if (free_slot_ == kNoSlot) {
+    free_slot_ = static_cast<std::uint32_t>(arena_.size());
+    arena_.emplace_back();
+  }
+  const CallRef ref{free_slot_, arena_[free_slot_].gen};
   CallState& c = arena_[ref.slot];
+  free_slot_ = c.next_free;
   c.id = next_call_id_++;
   c.cb = std::move(cb);
   c.tag = EventTag::of(to, type);
@@ -128,10 +120,29 @@ void Node::call(const Endpoint& to, MsgType type, Bytes payload,
     });
   }
 
-  start_attempt(ref, std::move(payload), /*is_hedge=*/false);
+  const Duration first_timeout =
+      start_attempt(ref, std::move(payload), /*is_hedge=*/false);
   // The first attempt may already have completed the call (synchronous send
-  // failure with no retry budget); maybe_schedule_hedge no-ops then.
-  maybe_schedule_hedge(ref);
+  // failure with no retry budget); there is nothing to hedge then.
+  CallState* live = find_call(ref);
+  if (live == nullptr || !live->opts.hedge.enabled) return;
+  const Duration delay = policy_.hedge_delay(live->tag, live->opts.hedge);
+  // No RTT history, or the tail quantile is so close to the time-out that a
+  // retry would fire anyway: don't pay for a duplicate.
+  if (delay <= 0 || delay >= first_timeout) return;
+  if (obs::trace().enabled()) {
+    obs::trace().record(now, obs::SpanKind::kCallHedge,
+                        call_trace_tag(live->tag), delay);
+  }
+  live->hedge_timer = exec_.schedule(delay, [this, ref] {
+    CallState* c = find_call(ref);
+    if (c == nullptr) return;
+    c->hedge_timer = kInvalidTimer;
+    // Hedge only while the first attempt is still out there; if it already
+    // failed we are in retry territory, which has its own schedule.
+    if (c->hedge_sent || c->in_flight < 1) return;
+    start_attempt(ref, c->payload, /*is_hedge=*/true);
+  });
 }
 
 Status Node::send_oneway(const Endpoint& to, MsgType type, Bytes payload) {
@@ -143,9 +154,9 @@ Status Node::send_oneway(const Endpoint& to, MsgType type, Bytes payload) {
   return transport_.send(self_, to, std::move(pkt));
 }
 
-void Node::start_attempt(CallRef ref, Bytes payload, bool is_hedge) {
+Duration Node::start_attempt(CallRef ref, Bytes payload, bool is_hedge) {
   CallState* c = find_call(ref);
-  if (c == nullptr) return;
+  if (c == nullptr) return 0;
   const TimePoint now = exec_.now();
 
   // The breaker may have opened since the call was admitted (or since the
@@ -161,14 +172,14 @@ void Node::start_attempt(CallRef ref, Bytes payload, bool is_hedge) {
                     Error{Err::kUnavailable,
                           "circuit open to " + c->tag.server.to_string()});
     }
-    return;
+    return 0;
   }
 
   Duration timeout = policy_.attempt_timeout(c->tag, c->opts);
   if (c->deadline_at > 0) {
     if (c->deadline_at <= now) {
       complete_call(ref, Error{Err::kTimeout, "call deadline exceeded"});
-      return;
+      return 0;
     }
     timeout = std::min(timeout, c->deadline_at - now);
   }
@@ -178,7 +189,6 @@ void Node::start_attempt(CallRef ref, Bytes payload, bool is_hedge) {
     c->hedge_sent = true;
   } else {
     ++c->attempts_started;
-    if (c->attempts_started == 1) c->first_attempt_timeout = timeout;
   }
   ++c->in_flight;
   policy_.stats().record_attempt(!is_hedge && c->attempts_started > 1, is_hedge);
@@ -187,7 +197,19 @@ void Node::start_attempt(CallRef ref, Bytes payload, bool is_hedge) {
                         c->attempts_started, is_hedge ? 1 : 0);
   }
 
-  Attempt& a = claim(seq);
+  // Free entries and orphans are overwritten (a response to a forgotten
+  // orphan is unknown); a pending or late entry in the way doubles the ring.
+  // Seqs distinct mod n stay distinct mod 2n, so re-placing collides with
+  // nothing.
+  while (entry(seq).state == Attempt::State::kPending ||
+         entry(seq).state == Attempt::State::kLate) {
+    std::vector<Attempt> old(ring_.size() * 2);
+    old.swap(ring_);
+    for (const Attempt& e : old) {
+      if (e.state != Attempt::State::kFree) entry(e.seq) = e;
+    }
+  }
+  Attempt& a = entry(seq);
   a = Attempt{seq, c->last_seq, ref, kInvalidTimer, now, timeout,
               Attempt::State::kPending, is_hedge};
   a.timer = exec_.schedule(timeout, [this, seq] { on_attempt_timeout(seq); });
@@ -201,9 +223,9 @@ void Node::start_attempt(CallRef ref, Bytes payload, bool is_hedge) {
   Status s = transport_.send(self_, c->tag.server, std::move(pkt));
   if (!s.ok()) {
     // Synchronous refusal: the attempt never left this host.
-    Attempt& dead = *find_attempt(seq);
+    Attempt& dead = entry(seq);
     exec_.cancel(dead.timer);
-    unlink(*c, seq);
+    c->last_seq = dead.prev;
     dead.state = Attempt::State::kFree;
     --c->in_flight;
     // Backpressure (kOverloaded) is a verdict on OUR outbox, not on the
@@ -216,47 +238,24 @@ void Node::start_attempt(CallRef ref, Bytes payload, bool is_hedge) {
     }
     on_attempt_failed(ref, s.error());
   }
-}
-
-void Node::maybe_schedule_hedge(CallRef ref) {
-  CallState* c = find_call(ref);
-  if (c == nullptr || !c->opts.hedge.enabled) return;
-  const Duration delay = policy_.hedge_delay(c->tag, c->opts.hedge);
-  // No RTT history, or the tail quantile is so close to the time-out that a
-  // retry would fire anyway: don't pay for a duplicate.
-  if (delay <= 0 || delay >= c->first_attempt_timeout) return;
-  if (obs::trace().enabled()) {
-    obs::trace().record(exec_.now(), obs::SpanKind::kCallHedge,
-                        call_trace_tag(c->tag), delay);
-  }
-  c->hedge_timer = exec_.schedule(delay, [this, ref] {
-    CallState* call = find_call(ref);
-    if (call == nullptr) return;
-    call->hedge_timer = kInvalidTimer;
-    // Hedge only while the first attempt is still out there; if it already
-    // failed we are in retry territory, which has its own schedule.
-    if (call->hedge_sent || call->in_flight < 1) return;
-    start_attempt(ref, call->payload, /*is_hedge=*/true);
-  });
+  return timeout;
 }
 
 void Node::on_attempt_timeout(std::uint64_t seq) {
-  Attempt* a = find_attempt(seq);
-  if (a == nullptr || a->state != Attempt::State::kPending) return;
-  // The server may still answer; if the call is then still undecided, that
-  // late response completes it (see on_response).
-  a->state = Attempt::State::kLate;
-  const CallRef ref = a->call;
-  const TimePoint sent = a->sent;
-  const Duration timeout = a->timeout;
-  CallState& c = arena_[ref.slot];  // a pending attempt's call is live
+  // Only a pending attempt's timer is armed. The server may still answer;
+  // if the call is then still undecided, that late response completes it
+  // (see on_response).
+  entry(seq).state = Attempt::State::kLate;
+  const Attempt a = entry(seq);
+  CallState& c = arena_[a.call.slot];  // a pending attempt's call is live
   --c.in_flight;
-  policy_.stats().record_timeout(timeout);
-  policy_.on_attempt_result(c.tag, exec_.now(), sent, timeout, /*ok=*/false);
+  policy_.stats().record_timeout(a.timeout);
+  policy_.on_attempt_result(c.tag, exec_.now(), a.sent, a.timeout,
+                            /*ok=*/false);
   if (observer_) {
-    observer_(c.tag.server, c.tag.type, timeout, /*success=*/false);
+    observer_(c.tag.server, c.tag.type, a.timeout, /*success=*/false);
   }
-  on_attempt_failed(ref, Error{Err::kTimeout, "request timed out"});
+  on_attempt_failed(a.call, Error{Err::kTimeout, "request timed out"});
 }
 
 void Node::on_attempt_failed(CallRef ref, Error err) {
@@ -335,25 +334,26 @@ void Node::send_reply(const Responder::Reply& reply, std::uint8_t code,
 
 void Node::on_response(Packet response) {
   const TimePoint now = exec_.now();
-  Attempt* found = find_attempt(response.seq);
-  if (found == nullptr) {
+  Attempt& found = entry(response.seq);
+  if (found.state == Attempt::State::kFree || found.seq != response.seq) {
     // Response for a call that already finished (by error or abandoned at
     // stop), or for a seq the ring no longer holds: the classic spurious
     // time-out with nothing left to rescue.
     policy_.stats().record_late_response(/*rescued=*/false);
     return;
   }
-  const Attempt a = *found;  // callbacks below may grow the ring
+  const Attempt a = found;  // callbacks below may grow the ring
+  found.state = Attempt::State::kFree;
   if (a.state == Attempt::State::kOrphaned) {
     // A hedge loser or superseded retry answering after its call already
     // completed: expected duplicate, dropped — never a second delivery.
-    found->state = Attempt::State::kFree;
     policy_.stats().record_duplicate_response();
     return;
   }
   CallState& c = arena_[a.call.slot];  // pending and late attempts' calls live
-  unlink(c, a.seq);
-  found->state = Attempt::State::kFree;
+  std::uint64_t* link = &c.last_seq;  // unlink it from the call's chain
+  while (*link != a.seq) link = &entry(*link).prev;
+  *link = a.prev;
   if (a.state == Attempt::State::kPending) {
     exec_.cancel(a.timer);
     --c.in_flight;
@@ -371,23 +371,18 @@ void Node::on_response(Packet response) {
     policy_.on_attempt_result(c.tag, now, a.sent, now - a.sent,
                               /*ok=*/true);
   }
-  deliver_response(a.call, std::move(response.payload));
-}
-
-void Node::deliver_response(CallRef ref, Bytes payload) {
-  CallState* c = find_call(ref);
-  if (c == nullptr) return;
 
   // Unwrap the status byte.
+  Bytes& payload = response.payload;
   Reader r(payload);
   std::uint8_t code = 0;
   if (!r.get_le(code)) {
-    complete_call(ref, Error{Err::kProtocol, "response missing status byte"});
+    complete_call(a.call, Error{Err::kProtocol, "response missing status byte"});
     return;
   }
   if (code == 0) {
     payload.erase(payload.begin());  // the body stays in the payload's buffer
-    complete_call(ref, std::move(payload));
+    complete_call(a.call, std::move(payload));
     return;
   }
   auto message = r.str();
@@ -395,21 +390,18 @@ void Node::deliver_response(CallRef ref, Bytes payload) {
   // An application-level verdict rode a working round trip; resending the
   // same request usually repeats the answer, so only callers that opted in
   // (retry_rejected) burn retry budget on it.
-  if (c->opts.retry.retry_rejected && c->in_flight == 0 &&
-      schedule_retry(ref)) {
+  if (c.opts.retry.retry_rejected && c.in_flight == 0 &&
+      schedule_retry(a.call)) {
     return;
   }
-  complete_call(ref, std::move(e));
+  complete_call(a.call, std::move(e));
 }
 
 void Node::complete_call(CallRef ref, Result<Bytes> result) {
   CallState* c = find_call(ref);
   if (c == nullptr) return;
-  exec_.cancel(c->deadline_timer);
-  exec_.cancel(c->retry_timer);
-  exec_.cancel(c->hedge_timer);
   for (std::uint64_t seq = c->last_seq; seq != 0;) {
-    Attempt& a = ring_[seq & (ring_.size() - 1)];
+    Attempt& a = entry(seq);
     seq = a.prev;
     if (a.state == Attempt::State::kPending) {
       // Still-in-flight loser (the cancelled hedge or superseded attempt);
@@ -431,60 +423,13 @@ void Node::complete_call(CallRef ref, Result<Bytes> result) {
   if (cb) cb(std::move(result));
 }
 
-Node::CallState* Node::find_call(CallRef ref) {
-  CallState& c = arena_[ref.slot];
-  return c.id != 0 && c.gen == ref.gen ? &c : nullptr;
-}
-
-Node::CallRef Node::open_call() {
-  std::uint32_t slot = free_slot_;
-  if (slot == kNoSlot) {
-    slot = static_cast<std::uint32_t>(arena_.size());
-    arena_.emplace_back();
-  } else {
-    free_slot_ = arena_[slot].next_free;
-  }
-  return CallRef{slot, arena_[slot].gen};
-}
-
 void Node::close_call(std::uint32_t slot) {
   CallState& c = arena_[slot];
-  const std::uint32_t gen = c.gen + 1;
-  c = CallState{};
-  c.gen = gen;
-  c.next_free = free_slot_;
+  exec_.cancel(c.deadline_timer);
+  exec_.cancel(c.retry_timer);
+  exec_.cancel(c.hedge_timer);
+  c = CallState{.gen = c.gen + 1, .next_free = free_slot_};
   free_slot_ = slot;
-}
-
-Node::Attempt* Node::find_attempt(std::uint64_t seq) {
-  if (ring_.empty()) return nullptr;
-  Attempt& a = ring_[seq & (ring_.size() - 1)];
-  return a.state != Attempt::State::kFree && a.seq == seq ? &a : nullptr;
-}
-
-Node::Attempt& Node::claim(std::uint64_t seq) {
-  if (ring_.empty()) ring_.resize(kRingFloor);
-  for (;;) {
-    Attempt& a = ring_[seq & (ring_.size() - 1)];
-    // An orphan is forgotten here: a response to it is then unknown.
-    if (a.state == Attempt::State::kFree ||
-        a.state == Attempt::State::kOrphaned) {
-      return a;
-    }
-    // Seqs distinct mod n stay distinct mod 2n, so re-placing collides
-    // with nothing.
-    std::vector<Attempt> old(ring_.size() * 2);
-    old.swap(ring_);
-    for (const Attempt& e : old) {
-      if (e.state != Attempt::State::kFree) ring_[e.seq & (ring_.size() - 1)] = e;
-    }
-  }
-}
-
-void Node::unlink(CallState& c, std::uint64_t seq) {
-  std::uint64_t* link = &c.last_seq;
-  while (*link != seq) link = &ring_[*link & (ring_.size() - 1)].prev;
-  *link = ring_[seq & (ring_.size() - 1)].prev;
 }
 
 }  // namespace ew

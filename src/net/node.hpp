@@ -18,12 +18,8 @@
 // response that beats a pending retry completes the call instead of being
 // wasted.
 //
-// Bookkeeping (DESIGN.md §7): each call lives in one slot of a call arena,
-// and each attempt in one entry of a seq ring indexed by `seq & (size - 1)`.
-// An entry is pending, late (timed out, still able to complete its call) or
-// orphaned (its call finished first; a response is a counted duplicate). A
-// call's live attempts chain newest to oldest through the ring, so finishing
-// a call touches only its own attempts.
+// Each call is one slot of a call arena and each attempt one entry of a
+// seq ring (DESIGN.md §7).
 //
 // Response payloads are wrapped in a 1-byte status so servers can signal
 // application-level rejection (e.g. the persistent-state sanity check of
@@ -33,6 +29,7 @@
 // application verdicts.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -121,8 +118,7 @@ class Node {
   /// Fire-and-forget message.
   Status send_oneway(const Endpoint& to, MsgType type, Bytes payload);
 
-  /// The observer runs inside the Node's attempt bookkeeping and must not
-  /// call back into this Node.
+  /// The observer must not call back into this Node.
   void set_rtt_observer(RttObserver obs) { observer_ = std::move(obs); }
 
   /// Retry/hedge/breaker policy plus the node's adaptive time-outs and
@@ -133,16 +129,18 @@ class Node {
 
   [[nodiscard]] const Endpoint& self() const { return self_; }
   [[nodiscard]] Executor& executor() { return exec_; }
-  [[nodiscard]] std::size_t outstanding_calls() const;
+  [[nodiscard]] std::size_t outstanding_calls() const {
+    return std::count_if(arena_.begin(), arena_.end(),
+                         [](const CallState& c) { return c.id != 0; });
+  }
 
  private:
   friend class Responder;
 
   static constexpr std::uint32_t kNoSlot = UINT32_MAX;
 
-  /// A call's arena slot and the slot's generation when the call began.
-  /// Timer closures hold one: the generation moves on when the call ends,
-  /// so a closure left over from a finished call finds nothing.
+  /// A call's arena slot and generation. The generation moves on when the
+  /// call ends, so a timer closure left over from it finds nothing.
   struct CallRef {
     std::uint32_t slot = 0;
     std::uint32_t gen = 0;
@@ -154,16 +152,15 @@ class Node {
     std::uint64_t id = 0;  // monotone call id; 0 marks a free slot
     std::uint32_t gen = 0;
     std::uint32_t next_free = kNoSlot;  // free-list link while free
-    CallCallback cb;
-    EventTag tag;  // the server and message type called
-    CallOptions opts;
-    Bytes payload;               // kept only when a resend is possible
+    CallCallback cb{};
+    EventTag tag{};  // the server and message type called
+    CallOptions opts{};
+    Bytes payload{};               // kept only when a resend is possible
     TimePoint started = 0;
     TimePoint deadline_at = 0;   // 0 = no deadline
     TimerId deadline_timer = kInvalidTimer;
     TimerId retry_timer = kInvalidTimer;
     TimerId hedge_timer = kInvalidTimer;
-    Duration first_attempt_timeout = 0;
     std::uint32_t attempts_started = 0;  // retries; hedges not counted
     std::uint32_t in_flight = 0;
     bool hedge_sent = false;
@@ -188,34 +185,26 @@ class Node {
   void send_reply(const Responder::Reply& reply, std::uint8_t code,
                   const Bytes& body);
   void on_response(Packet response);
-  void start_attempt(CallRef ref, Bytes payload, bool is_hedge);
-  void maybe_schedule_hedge(CallRef ref);
+  /// Returns the attempt's time-out, or 0 if no attempt went out.
+  Duration start_attempt(CallRef ref, Bytes payload, bool is_hedge);
   void on_attempt_timeout(std::uint64_t seq);
   /// An attempt ended in a transport failure; retry or complete the call.
   void on_attempt_failed(CallRef ref, Error err);
   /// Schedule the next retry attempt if budget and deadline allow.
   bool schedule_retry(CallRef ref);
-  /// Completes a call with a response payload: its status byte, then the
-  /// body (ok) or an error message.
-  void deliver_response(CallRef ref, Bytes payload);
   /// Single point of delivery: frees the call's slot (cancelling every
   /// timer, orphaning its pending attempts and freeing its late ones) and
   /// then invokes the callback.
   void complete_call(CallRef ref, Result<Bytes> result);
 
-  /// The live call `ref` names, or nullptr once that call has ended. The
-  /// pointer dies with the next call(), so never hold it across a callback
-  /// or start_attempt().
-  CallState* find_call(CallRef ref);
-  CallRef open_call();
+  /// The live call `ref` names, or nullptr. Dies with the next call().
+  CallState* find_call(CallRef ref) {
+    CallState& c = arena_[ref.slot];
+    return c.id != 0 && c.gen == ref.gen ? &c : nullptr;
+  }
+  /// Cancels the call's timers and frees its slot.
   void close_call(std::uint32_t slot);
-  /// The pending, late or orphaned attempt with `seq`, or nullptr.
-  Attempt* find_attempt(std::uint64_t seq);
-  /// The entry for a new `seq`, doubling the ring until it would overwrite
-  /// no pending or late attempt. Invalidates references into the ring.
-  Attempt& claim(std::uint64_t seq);
-  /// Take `seq` out of the call's chain of pending and late attempts.
-  void unlink(CallState& c, std::uint64_t seq);
+  Attempt& entry(std::uint64_t seq) { return ring_[seq & (ring_.size() - 1)]; }
 
   Executor& exec_;
   Transport& transport_;
@@ -227,7 +216,7 @@ class Node {
   std::unordered_map<MsgType, ServerHandler> handlers_;
   std::vector<CallState> arena_;      // calls, by slot
   std::uint32_t free_slot_ = kNoSlot;  // head of the free-slot list
-  std::vector<Attempt> ring_;          // attempts, by seq; empty until a call
+  std::vector<Attempt> ring_;          // attempts, by seq
   RttObserver observer_;
 };
 
