@@ -155,7 +155,7 @@ class Node {
     CallCallback cb{};
     EventTag tag{};  // the server and message type called
     CallOptions opts{};
-    Bytes payload{};               // kept only when a resend is possible
+    Bytes payload{};  // kept only when a resend is possible
     TimePoint started = 0;
     TimePoint deadline_at = 0;   // 0 = no deadline
     TimerId deadline_timer = kInvalidTimer;
