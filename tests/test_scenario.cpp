@@ -1,10 +1,15 @@
 // End-to-end tests of the SC98 scenario assembly: all seven infrastructures
-// delivering power, the judging spike and recovery, and the two ablations.
+// delivering power, the judging spike and recovery, the two ablations, and
+// a golden digest of the quick run.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdio>
 #include <numeric>
+#include <string>
 
 #include "app/scenario.hpp"
+#include "common/hash.hpp"
 #include "net/node.hpp"
 #include "obs/registry.hpp"
 
@@ -232,6 +237,48 @@ TEST(Scenario, QuirkCountersSurface) {
   EXPECT_GT(res.reports, 100u);
   EXPECT_GT(res.log_records, 100u);
 }
+
+// Golden digest of the whole scenario: FNV-1a over every ScenarioResults
+// field (each series value's bits and every counter) plus the number of
+// events the run executed. Set-up refactors (adapter construction, spike
+// plumbing) must leave the digests unchanged; a failing run prints the
+// current digest.
+std::uint64_t scenario_digest(std::uint64_t seed) {
+  ScenarioOptions o = quick_options();
+  o.seed = seed;
+  Sc98Scenario scenario(o);
+  const ScenarioResults res = scenario.run();
+  std::uint64_t h = kFnvBasis;
+  auto series = [&h](const std::vector<double>& v) {
+    h = fnv_mix(h, static_cast<std::uint64_t>(v.size()));
+    for (const double x : v) h = fnv_mix(h, std::bit_cast<std::uint64_t>(x));
+  };
+  h = fnv_mix(h, static_cast<std::uint64_t>(res.bin_start.size()));
+  for (const TimePoint t : res.bin_start) h = fnv_mix(h, static_cast<std::uint64_t>(t));
+  series(res.total_rate);
+  for (const auto& s : res.infra_rate) series(s);
+  for (const auto& s : res.infra_hosts) series(s);
+  for (const std::uint64_t c :
+       {res.total_ops, res.log_records, res.reports, res.migrations,
+        res.presumed_dead, res.condor_evictions, res.lsf_kills,
+        res.translated_calls, res.counterexample_stores_rejected,
+        res.nws_probes, static_cast<std::uint64_t>(res.directory_size),
+        static_cast<std::uint64_t>(res.bins_judging_index),
+        static_cast<std::uint64_t>(scenario.events().executed())}) {
+    h = fnv_mix(h, c);
+  }
+  return h;
+}
+
+std::string hex(std::uint64_t v) {
+  char buf[24];
+  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(v));
+  return buf;
+}
+
+TEST(ScenarioGolden, QuickSeed1) { EXPECT_EQ(hex(scenario_digest(1)), "2ab2a882134e6101"); }
+TEST(ScenarioGolden, QuickSeed2) { EXPECT_EQ(hex(scenario_digest(2)), "40c5c4f676ca80f5"); }
+TEST(ScenarioGolden, QuickSeed3) { EXPECT_EQ(hex(scenario_digest(3)), "1dbbfb0b887bf8af"); }
 
 }  // namespace
 }  // namespace ew::app
