@@ -10,7 +10,7 @@
 #include <chrono>
 
 #include "bench/bench_util.hpp"
-#include "infra/java.hpp"
+#include "infra/profiles.hpp"
 #include "ramsey/heuristic.hpp"
 
 using namespace ew;
@@ -19,8 +19,8 @@ using namespace ew::bench;
 int main() {
   std::printf("=== Section 5.6: Java interpreted vs JIT ===\n\n");
 
-  const double interp = infra::JavaAdapter::kInterpretedOpsPerSec;
-  const double jit = infra::JavaAdapter::kJitOpsPerSec;
+  const double interp = infra::kJavaInterpretedOpsPerSec;
+  const double jit = infra::kJavaJitOpsPerSec;
   print_shape_check("interpreted ops/s", interp, 111'616.0);
   print_shape_check("JIT ops/s", jit, 12'109'720.0);
   print_shape_check("JIT/interpreted ratio", jit / interp, 108.49);

@@ -14,7 +14,8 @@ using namespace ew;
 int main() {
   Rng rng(7);
   AdaptiveTimeout adaptive;
-  StaticTimeout fixed(1 * kSecond);
+  // The static policy learns nothing, per its nature.
+  constexpr Duration kStaticTimeout = 1 * kSecond;
   const EventTag tag{Endpoint{"state-server", 601}, 0x0202};
 
   std::printf("%-6s %-12s %-12s %-12s %-8s %-8s\n", "req#", "rtt(ms)",
@@ -30,13 +31,12 @@ int main() {
     const Duration rtt = static_cast<Duration>(rtt_ms * kMillisecond);
 
     const Duration a_timeout = adaptive.timeout(tag);
-    const Duration s_timeout = fixed.timeout(tag);
+    const Duration s_timeout = kStaticTimeout;
     const bool a_ok = rtt <= a_timeout;
     const bool s_ok = rtt <= s_timeout;
     adaptive_failures += a_ok ? 0 : 1;
     static_failures += s_ok ? 0 : 1;
     adaptive.on_result(tag, rtt, a_ok);
-    // The static policy learns nothing, per its nature.
 
     if (i % 25 == 0 || i == 150 || i == 300) {
       std::printf("%-6d %-12.1f %-12.1f %-12.1f %-8d %-8d%s\n", i, rtt_ms,

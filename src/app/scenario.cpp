@@ -344,11 +344,16 @@ void Sc98Scenario::build_adapters() {
     return make_client_factory(events_, transport_, cfg);
   };
 
-  auto unix = std::make_unique<infra::UnixAdapter>(
-      events_, transport_, network_, rng_.next_u64(),
-      profile_for(core::Infra::kUnix));
-  unix->start(factory_for(core::Infra::kUnix, {}));
-  adapters_.push_back(std::move(unix));
+  // Unix, Condor and Java need nothing beyond their profile.
+  auto add_plain = [&](core::Infra kind) {
+    auto plain = std::make_unique<infra::InfraAdapter>(
+        events_, transport_, network_, rng_.next_u64(), profile_for(kind));
+    plain->start(factory_for(kind, {}));
+    adapters_.push_back(std::move(plain));
+    return adapters_.back().get();
+  };
+
+  add_plain(core::Infra::kUnix);
 
   auto globus = std::make_unique<infra::GlobusAdapter>(
       events_, transport_, network_, rng_.next_u64(),
@@ -368,12 +373,7 @@ void Sc98Scenario::build_adapters() {
       factory_for(core::Infra::kLegion, {legion->translator_endpoint()}));
   adapters_.push_back(std::move(legion));
 
-  auto condor = std::make_unique<infra::CondorAdapter>(
-      events_, transport_, network_, rng_.next_u64(),
-      profile_for(core::Infra::kCondor));
-  condor_ = condor.get();
-  condor->start(factory_for(core::Infra::kCondor, {}));
-  adapters_.push_back(std::move(condor));
+  condor_ = add_plain(core::Infra::kCondor);
 
   auto nt = std::make_unique<infra::NTAdapter>(
       events_, transport_, network_, rng_.next_u64(),
@@ -382,11 +382,7 @@ void Sc98Scenario::build_adapters() {
   nt->start(factory_for(core::Infra::kNT, {}));
   adapters_.push_back(std::move(nt));
 
-  auto java = std::make_unique<infra::JavaAdapter>(
-      events_, transport_, network_, rng_.next_u64(),
-      profile_for(core::Infra::kJava));
-  java->start(factory_for(core::Infra::kJava, {}));
-  adapters_.push_back(std::move(java));
+  add_plain(core::Infra::kJava);
 
   auto netsolve = std::make_unique<infra::NetSolveAdapter>(
       events_, transport_, network_, rng_.next_u64(),
@@ -485,7 +481,7 @@ ScenarioResults Sc98Scenario::run() {
     // harvest_scheduler accumulates live counters into *_total; zero the
     // live servers' contribution by harvesting only once at the end.
   }
-  out.condor_evictions = condor_ ? condor_->evictions() : 0;
+  out.condor_evictions = condor_ ? condor_->pool().evictions() : 0;
   out.lsf_kills = nt_ ? nt_->lsf_kills() : 0;
   out.translated_calls = legion_ ? legion_->translator().translated() : 0;
   out.counterexample_stores_rejected = state_ ? state_->stores_rejected() : 0;

@@ -29,13 +29,11 @@
 #include "nws/nws.hpp"
 #include "gossip/gossip_server.hpp"
 #include "gossip/sync_client.hpp"
-#include "infra/condor.hpp"
 #include "infra/globus.hpp"
-#include "infra/java.hpp"
 #include "infra/legion.hpp"
 #include "infra/netsolve.hpp"
 #include "infra/nt.hpp"
-#include "infra/unix.hpp"
+#include "infra/profiles.hpp"
 #include "sim/chaos.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/network_model.hpp"
@@ -131,10 +129,6 @@ class Sc98Scenario {
   /// Internals exposed for tests.
   [[nodiscard]] sim::EventQueue& events() { return events_; }
   [[nodiscard]] core::LoggingServer& logging() { return *logging_; }
-  [[nodiscard]] const std::vector<std::unique_ptr<infra::InfraAdapter>>& adapters()
-      const {
-    return adapters_;
-  }
   /// Chaos internals for the chaos tests: null before run() or when the
   /// options carried no plan / the role is currently crashed.
   [[nodiscard]] sim::ChaosEngine* chaos_engine();
@@ -202,7 +196,7 @@ class Sc98Scenario {
   // Typed views into adapters_ for quirk counters and light-switch wiring.
   infra::GlobusAdapter* globus_ = nullptr;
   infra::LegionAdapter* legion_ = nullptr;
-  infra::CondorAdapter* condor_ = nullptr;
+  infra::InfraAdapter* condor_ = nullptr;
   infra::NTAdapter* nt_ = nullptr;
   infra::NetSolveAdapter* netsolve_ = nullptr;
 };

@@ -8,9 +8,9 @@
 // AdaptiveTimeout derives a per-(server, message type) time-out from the
 // event forecaster bank: forecast + safety_factor * expected error, clamped
 // to [floor, ceiling]. Failed requests feed back an inflated pseudo-sample
-// so repeated timeouts push the interval up instead of thrashing.
-// StaticTimeout is the paper's rejected alternative, kept as the baseline
-// for bench/ablation_timeouts.
+// so repeated timeouts push the interval up instead of thrashing. The
+// paper's rejected alternative, a static time-out, is run through
+// AdaptiveTimeout::StaticOverrideGuard (bench/ablation_timeouts).
 #pragma once
 
 #include <algorithm>
@@ -21,29 +21,8 @@
 
 namespace ew {
 
-/// Strategy interface so schedulers/gossips can swap policies (ablation).
-class TimeoutPolicy {
- public:
-  virtual ~TimeoutPolicy() = default;
-  /// Time-out to use for the next request matching `tag`.
-  [[nodiscard]] virtual Duration timeout(const EventTag& tag) const = 0;
-  /// Report a request outcome: round-trip time and success flag.
-  virtual void on_result(const EventTag& tag, Duration rtt, bool ok) = 0;
-};
-
-/// Fixed time-out regardless of observed behaviour (the ablation baseline).
-class StaticTimeout final : public TimeoutPolicy {
- public:
-  explicit StaticTimeout(Duration value) : value_(value) {}
-  [[nodiscard]] Duration timeout(const EventTag&) const override { return value_; }
-  void on_result(const EventTag&, Duration, bool) override {}
-
- private:
-  Duration value_;
-};
-
 /// Forecast-driven time-outs (the paper's approach).
-class AdaptiveTimeout final : public TimeoutPolicy {
+class AdaptiveTimeout {
  public:
   struct Options {
     Duration floor = 50 * kMillisecond;    // never spin-retry faster than this
@@ -65,8 +44,10 @@ class AdaptiveTimeout final : public TimeoutPolicy {
   AdaptiveTimeout(const AdaptiveTimeout&) = delete;
   AdaptiveTimeout& operator=(const AdaptiveTimeout&) = delete;
 
-  [[nodiscard]] Duration timeout(const EventTag& tag) const override;
-  void on_result(const EventTag& tag, Duration rtt, bool ok) override;
+  /// Time-out to use for the next request matching `tag`.
+  [[nodiscard]] Duration timeout(const EventTag& tag) const;
+  /// Report a request outcome: round-trip time and success flag.
+  void on_result(const EventTag& tag, Duration rtt, bool ok);
 
   [[nodiscard]] const EventForecasterBank& bank() const { return bank_; }
   [[nodiscard]] const Options& options() const { return opts_; }

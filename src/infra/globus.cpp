@@ -7,9 +7,8 @@ namespace ew::infra {
 GlobusAdapter::GlobusAdapter(sim::EventQueue& events, sim::SimTransport& transport,
                              sim::NetworkModel& network, std::uint64_t seed,
                              PoolProfile profile, Config config)
-    : events_(events),
-      config_(std::move(config)),
-      pool_(events, transport, network, std::move(profile), seed) {
+    : InfraAdapter(events, transport, network, seed, std::move(profile)),
+      config_(std::move(config)) {
   network.set_site(config_.control_host, config_.control_site);
   mds_.emplace(events, transport, Endpoint{config_.control_host, 701});
   gram_.emplace(events, transport, Endpoint{config_.control_host, 702});
@@ -55,13 +54,6 @@ void GlobusAdapter::stop() {
   mds_->stop();
   gram_->stop();
   gass_->stop();
-}
-
-void GlobusAdapter::apply_spike(const sim::Spike& spike) {
-  pool_.set_pressure(spike.cpu_pressure);
-  if (spike.reclaim_fraction > 0) {
-    pool_.reclaim_fraction(spike.reclaim_fraction, spike.end - spike.start);
-  }
 }
 
 void GlobusAdapter::on_mds_query(const Responder& resp) {

@@ -19,7 +19,7 @@
 #include <optional>
 
 #include "core/protocol.hpp"
-#include "infra/profiles.hpp"
+#include "infra/pool.hpp"
 #include "net/node.hpp"
 
 namespace ew::infra {
@@ -36,33 +36,22 @@ class GlobusAdapter final : public InfraAdapter {
   GlobusAdapter(sim::EventQueue& events, sim::SimTransport& transport,
                 sim::NetworkModel& network, std::uint64_t seed,
                 PoolProfile profile, Config config);
-  GlobusAdapter(sim::EventQueue& events, sim::SimTransport& transport,
-                sim::NetworkModel& network, std::uint64_t seed)
-      : GlobusAdapter(events, transport, network, seed,
-                      default_profile(core::Infra::kGlobus), Config{}) {}
 
   void start(ClientFactory factory) override;
   void stop() override;
-  [[nodiscard]] core::Infra kind() const override { return core::Infra::kGlobus; }
-  [[nodiscard]] int hosts_active() const override { return pool_.hosts_active(); }
-  void apply_spike(const sim::Spike& spike) override;
-  void clear_spike() override { pool_.set_pressure(1.0); }
 
   [[nodiscard]] Endpoint mds_endpoint() const { return mds_->self(); }
   [[nodiscard]] Endpoint gram_endpoint() const { return gram_->self(); }
   [[nodiscard]] Endpoint gass_endpoint() const { return gass_->self(); }
   [[nodiscard]] bool switched_on() const { return switched_on_; }
   [[nodiscard]] std::uint64_t gass_fetches() const { return gass_fetches_; }
-  [[nodiscard]] HostPool& pool() { return pool_; }
 
  private:
   void on_mds_query(const Responder& resp);
   void on_submit(const IncomingMessage& msg, const Responder& resp);
   void stage_and_launch(std::size_t i);
 
-  sim::EventQueue& events_;
   Config config_;
-  HostPool pool_;
   std::optional<Node> mds_;
   std::optional<Node> gram_;
   std::optional<Node> gass_;

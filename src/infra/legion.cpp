@@ -50,7 +50,7 @@ void TranslatorServer::relay(MsgType type, const Bytes& payload, Responder resp,
 LegionAdapter::LegionAdapter(sim::EventQueue& events, sim::SimTransport& transport,
                              sim::NetworkModel& network, std::uint64_t seed,
                              PoolProfile profile, Config config)
-    : PoolAdapter(events, transport, network, std::move(profile), seed),
+    : InfraAdapter(events, transport, network, seed, std::move(profile)),
       config_(std::move(config)) {
   network.set_site(config_.gate_host, pool_.profile().site);
   node_.emplace(events, transport, Endpoint{config_.gate_host, 801});
@@ -59,11 +59,11 @@ LegionAdapter::LegionAdapter(sim::EventQueue& events, sim::SimTransport& transpo
 
 void LegionAdapter::start(ClientFactory factory) {
   node_->start();
-  PoolAdapter::start(std::move(factory));
+  InfraAdapter::start(std::move(factory));
 }
 
 void LegionAdapter::stop() {
-  PoolAdapter::stop();
+  InfraAdapter::stop();
   node_->stop();
 }
 

@@ -15,7 +15,7 @@
 
 #include <unordered_map>
 
-#include "infra/profiles.hpp"
+#include "infra/pool.hpp"
 #include "net/node.hpp"
 
 namespace ew::infra {
@@ -44,7 +44,7 @@ class TranslatorServer {
   std::uint64_t translated_ = 0;
 };
 
-class LegionAdapter final : public PoolAdapter {
+class LegionAdapter final : public InfraAdapter {
  public:
   struct Config {
     std::string gate_host = "legion-gate";
@@ -54,10 +54,6 @@ class LegionAdapter final : public PoolAdapter {
   LegionAdapter(sim::EventQueue& events, sim::SimTransport& transport,
                 sim::NetworkModel& network, std::uint64_t seed,
                 PoolProfile profile, Config config);
-  LegionAdapter(sim::EventQueue& events, sim::SimTransport& transport,
-                sim::NetworkModel& network, std::uint64_t seed)
-      : LegionAdapter(events, transport, network, seed,
-                      default_profile(core::Infra::kLegion), Config{}) {}
 
   void start(ClientFactory factory) override;
   void stop() override;

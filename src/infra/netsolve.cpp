@@ -6,9 +6,8 @@ NetSolveAdapter::NetSolveAdapter(sim::EventQueue& events,
                                  sim::SimTransport& transport,
                                  sim::NetworkModel& network, std::uint64_t seed,
                                  PoolProfile profile, Config config)
-    : events_(events),
-      config_(std::move(config)),
-      pool_(events, transport, network, std::move(profile), seed) {
+    : InfraAdapter(events, transport, network, seed, std::move(profile)),
+      config_(std::move(config)) {
   network.set_site(config_.agent_host, pool_.profile().site);
   agent_.emplace(events, transport, Endpoint{config_.agent_host, 901});
 }
@@ -35,13 +34,6 @@ void NetSolveAdapter::stop() {
   running_ = false;
   pool_.stop();
   agent_->stop();
-}
-
-void NetSolveAdapter::apply_spike(const sim::Spike& spike) {
-  pool_.set_pressure(spike.cpu_pressure);
-  if (spike.reclaim_fraction > 0) {
-    pool_.reclaim_fraction(spike.reclaim_fraction, spike.end - spike.start);
-  }
 }
 
 void NetSolveAdapter::on_request(const Responder& resp) {

@@ -15,8 +15,7 @@
 #include <set>
 
 #include "core/protocol.hpp"
-#include "forecast/timeout.hpp"
-#include "infra/profiles.hpp"
+#include "infra/pool.hpp"
 #include "net/node.hpp"
 
 namespace ew::infra {
@@ -31,29 +30,18 @@ class NetSolveAdapter final : public InfraAdapter {
   NetSolveAdapter(sim::EventQueue& events, sim::SimTransport& transport,
                   sim::NetworkModel& network, std::uint64_t seed,
                   PoolProfile profile, Config config);
-  NetSolveAdapter(sim::EventQueue& events, sim::SimTransport& transport,
-                  sim::NetworkModel& network, std::uint64_t seed)
-      : NetSolveAdapter(events, transport, network, seed,
-                        default_profile(core::Infra::kNetSolve), Config{}) {}
 
   void start(ClientFactory factory) override;
   void stop() override;
-  [[nodiscard]] core::Infra kind() const override { return core::Infra::kNetSolve; }
-  [[nodiscard]] int hosts_active() const override { return pool_.hosts_active(); }
-  void apply_spike(const sim::Spike& spike) override;
-  void clear_spike() override { pool_.set_pressure(1.0); }
 
   [[nodiscard]] Endpoint agent_endpoint() const { return agent_->self(); }
   [[nodiscard]] bool requested() const { return requested_; }
   [[nodiscard]] std::size_t advertised_servers() const { return advertised_.size(); }
-  [[nodiscard]] HostPool& pool() { return pool_; }
 
  private:
   void on_request(const Responder& resp);
 
-  sim::EventQueue& events_;
   Config config_;
-  HostPool pool_;
   std::optional<Node> agent_;
   bool requested_ = false;
   bool running_ = false;

@@ -5,7 +5,7 @@ namespace ew::infra {
 NTAdapter::NTAdapter(sim::EventQueue& events, sim::SimTransport& transport,
                      sim::NetworkModel& network, std::uint64_t seed,
                      PoolProfile profile, Quirks quirks)
-    : PoolAdapter(events, transport, network, std::move(profile), seed),
+    : InfraAdapter(events, transport, network, seed, std::move(profile)),
       quirks_(quirks),
       rng_(seed ^ 0x15f) {
   pool_.set_launch_hook([this](std::size_t i) { launch(i); });

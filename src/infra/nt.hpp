@@ -11,11 +11,11 @@
 // pre-fix configuration.
 #pragma once
 
-#include "infra/profiles.hpp"
+#include "infra/pool.hpp"
 
 namespace ew::infra {
 
-class NTAdapter final : public PoolAdapter {
+class NTAdapter final : public InfraAdapter {
  public:
   struct Quirks {
     Duration lsf_kill_threshold = 60 * kSecond;
@@ -25,10 +25,6 @@ class NTAdapter final : public PoolAdapter {
   NTAdapter(sim::EventQueue& events, sim::SimTransport& transport,
             sim::NetworkModel& network, std::uint64_t seed,
             PoolProfile profile, Quirks quirks);
-  NTAdapter(sim::EventQueue& events, sim::SimTransport& transport,
-            sim::NetworkModel& network, std::uint64_t seed)
-      : NTAdapter(events, transport, network, seed,
-                  default_profile(core::Infra::kNT), Quirks{}) {}
 
   [[nodiscard]] std::uint64_t lsf_kills() const { return lsf_kills_; }
 

@@ -100,16 +100,14 @@ void HostPool::on_host_up(std::size_t i) {
 
 void HostPool::on_host_down(std::size_t i) {
   if (!running_) return;
-  const bool was_running = static_cast<bool>(clients_[i]);
+  if (clients_[i]) ++evictions_;
   kill_client(i);
-  if (was_running && on_client_killed_) on_client_killed_(i);
 }
 
 void HostPool::run_client(std::size_t i) {
   if (!running_ || clients_[i] || !factory_) return;
   if (!hosts_[i]->up()) return;
   clients_[i] = factory_(*hosts_[i]);
-  ++launches_;
 }
 
 void HostPool::kill_client(std::size_t i) {
@@ -118,6 +116,13 @@ void HostPool::kill_client(std::size_t i) {
 
 bool HostPool::client_running(std::size_t i) const {
   return static_cast<bool>(clients_[i]);
+}
+
+void InfraAdapter::apply_spike(const sim::Spike& spike) {
+  pool_.set_pressure(spike.cpu_pressure);
+  if (spike.reclaim_fraction > 0) {
+    pool_.reclaim_fraction(spike.reclaim_fraction, spike.end - spike.start);
+  }
 }
 
 }  // namespace ew::infra

@@ -1,12 +1,14 @@
-// HostPool: a fleet of simulated hosts under one infrastructure, plus the
-// common adapter interface every infrastructure implements.
+// HostPool: a fleet of simulated hosts under one infrastructure, plus
+// InfraAdapter, the one adapter class every infrastructure is built from.
 //
 // The pool owns host lifecycles and (by default) launches a client process
 // on each host when it comes up, after the infrastructure's characteristic
 // start-up delay — the paper's observation that "each infrastructure
 // exported its own interface for launching and terminating processes"
 // (Section 5.1) becomes per-adapter launch ceremony around a common
-// ClientFactory.
+// ClientFactory. Unix, Java and Condor need nothing beyond their profile
+// (profiles.hpp) and run as a plain InfraAdapter; Globus, Legion, NT and
+// NetSolve derive from it to add their services or launch quirks.
 #pragma once
 
 #include <memory>
@@ -82,12 +84,9 @@ class HostPool {
   void kill_client(std::size_t host_index);
   [[nodiscard]] bool client_running(std::size_t host_index) const;
 
-  [[nodiscard]] std::uint64_t launches() const { return launches_; }
-
-  /// Observer invoked when a host-down kills a running client (eviction).
-  void set_on_client_killed(std::function<void(std::size_t)> fn) {
-    on_client_killed_ = std::move(fn);
-  }
+  /// Running clients killed because their host went down (for Condor, the
+  /// owner reclaiming a workstation: a vanilla-universe eviction).
+  [[nodiscard]] std::uint64_t evictions() const { return evictions_; }
 
  private:
   void on_host_up(std::size_t i);
@@ -102,23 +101,38 @@ class HostPool {
   std::vector<std::unique_ptr<Process>> clients_;
   ClientFactory factory_;
   LaunchHook launch_hook_;
-  std::function<void(std::size_t)> on_client_killed_;
   bool running_ = false;
-  std::uint64_t launches_ = 0;
+  std::uint64_t evictions_ = 0;
 };
 
-/// The adapter interface the scenario builder consumes.
+/// One infrastructure as the scenario builder consumes it: a HostPool with
+/// spike plumbing. Subclasses add their infrastructure's services (start
+/// and stop them around the pool) or install a launch hook on pool_.
 class InfraAdapter {
  public:
+  InfraAdapter(sim::EventQueue& events, sim::SimTransport& transport,
+               sim::NetworkModel& network, std::uint64_t seed,
+               PoolProfile profile)
+      : events_(events),
+        pool_(events, transport, network, std::move(profile), seed) {}
   virtual ~InfraAdapter() = default;
-  [[nodiscard]] virtual core::Infra kind() const = 0;
+  InfraAdapter(const InfraAdapter&) = delete;
+  InfraAdapter& operator=(const InfraAdapter&) = delete;
+
   /// Start hosts + infrastructure services; clients come from `factory`.
-  virtual void start(ClientFactory factory) = 0;
-  virtual void stop() = 0;
-  [[nodiscard]] virtual int hosts_active() const = 0;
+  virtual void start(ClientFactory factory) { pool_.start(std::move(factory)); }
+  virtual void stop() { pool_.stop(); }
+
+  [[nodiscard]] core::Infra kind() const { return pool_.profile().infra; }
+  [[nodiscard]] int hosts_active() const { return pool_.hosts_active(); }
   /// Scripted contention events (Figure 2's judging spike).
-  virtual void apply_spike(const sim::Spike& spike) = 0;
-  virtual void clear_spike() = 0;
+  void apply_spike(const sim::Spike& spike);
+  void clear_spike() { pool_.set_pressure(1.0); }
+  [[nodiscard]] HostPool& pool() { return pool_; }
+
+ protected:
+  sim::EventQueue& events_;
+  HostPool pool_;
 };
 
 }  // namespace ew::infra

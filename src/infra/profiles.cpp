@@ -9,6 +9,9 @@ PoolProfile default_profile(core::Infra kind) {
     case core::Infra::kUnix:
       // A handful of big time-shared servers and MPP front-ends (the Tera
       // MTA and parallel supercomputers enter as the lognormal's fat tail).
+      // No launch ceremony beyond a remote shell (Section 5.1); the Unix
+      // engineering (select()-based time-outs, no signals, threads or fork)
+      // lives in src/net, where every other infrastructure inherits it.
       p.site = "npaci";
       p.host_prefix = "unix";
       p.host_count = 15;
@@ -45,7 +48,10 @@ PoolProfile default_profile(core::Infra kind) {
       break;
     case core::Infra::kCondor:
       // The big federated workstation pool: many hosts, owner reclamation
-      // at any moment, quick re-placement of evicted guests.
+      // at any moment, quick re-placement of evicted guests. "In the vanilla
+      // universe, guest jobs are terminated without warning when a resource
+      // is reclaimed by its owner" (Section 5.4): no checkpoint, recovery
+      // happens above through Gossip state and work-unit reissue.
       p.site = "condor";
       p.host_prefix = "condor";
       p.host_count = 110;
@@ -76,10 +82,10 @@ PoolProfile default_profile(core::Infra kind) {
       p.host_prefix = "java";
       p.host_count = 12;
       p.rate_fn = [](int index, Rng& rng) {
-        // ~2/3 of SC98-era browsers had a JIT (12,109,720 ops/s measured);
-        // the rest interpret (111,616 ops/s).
+        // ~2/3 of SC98-era browsers had a JIT; the rest interpret.
         const bool jit = (index % 3) != 2;
-        return (jit ? 12'109'720.0 : 111'616.0) * rng.uniform(0.9, 1.1);
+        return (jit ? kJavaJitOpsPerSec : kJavaInterpretedOpsPerSec) *
+               rng.uniform(0.9, 1.1);
       };
       p.load = {.mu = 0.5, .theta = 0.2, .sigma = 0.15, .lo = 0.05, .hi = 1.0};
       p.churn = {.mean_up = 25 * kMinute, .mean_down = 20 * kMinute, .up_sigma = 1.1};

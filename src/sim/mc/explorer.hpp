@@ -58,10 +58,10 @@ class World {
   /// one branch may apply; each action fires at most once per branch, in
   /// menu order (a restart is only offered after its crash, etc. — worlds
   /// encode ordering by construction, the Explorer enforces at-most-once).
-  virtual std::vector<FaultAction> fault_actions() { return {}; }
+  virtual std::vector<FaultAction> fault_actions() = 0;
   /// Run the world FIFO past the exploration window so liveness-style
   /// predicates (re-election, store convergence) get their grace period.
-  virtual void settle() {}
+  virtual void settle() = 0;
   /// Invariant predicates, evaluated once per branch after settle().
   /// Each string is one violated predicate; empty = branch clean.
   virtual std::vector<std::string> check() = 0;

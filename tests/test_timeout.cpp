@@ -9,13 +9,6 @@ namespace {
 
 const EventTag kTag{Endpoint{"server", 601}, 0x0202};
 
-TEST(StaticTimeout, AlwaysSameValue) {
-  StaticTimeout t(3 * kSecond);
-  EXPECT_EQ(t.timeout(kTag), 3 * kSecond);
-  t.on_result(kTag, 100 * kSecond, false);
-  EXPECT_EQ(t.timeout(kTag), 3 * kSecond);  // learns nothing
-}
-
 TEST(AdaptiveTimeout, InitialBeforeAnyMeasurement) {
   AdaptiveTimeout t;
   EXPECT_EQ(t.timeout(kTag), t.options().initial);
