@@ -2,10 +2,6 @@
 
 namespace ew::infra {
 
-namespace {
-constexpr Duration kLoadStep = 30 * kSecond;
-}
-
 SimHost::SimHost(sim::EventQueue& events, sim::SimTransport& transport,
                  HostSpec spec, sim::Ar1Process::Params load,
                  sim::DurationSampler::Params churn, std::uint64_t seed)
@@ -27,13 +23,11 @@ void SimHost::start(bool initially_up) {
     transition_timer_ = events_.schedule(churn_.next_down(),
                                          [this] { if (running_) go_up(); });
   }
-  schedule_load_step();
 }
 
 void SimHost::shutdown() {
   running_ = false;
   events_.cancel(transition_timer_);
-  events_.cancel(load_timer_);
   if (up_) {
     up_ = false;
     transport_.set_host_up(spec_.name, false);
@@ -71,14 +65,6 @@ void SimHost::go_down(Duration extra_down) {
 void SimHost::force_down(Duration at_least) {
   if (!up_) return;
   go_down(at_least);
-}
-
-void SimHost::schedule_load_step() {
-  load_timer_ = events_.schedule(kLoadStep, [this] {
-    if (!running_) return;
-    load_.step();
-    schedule_load_step();
-  });
 }
 
 }  // namespace ew::infra

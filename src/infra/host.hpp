@@ -4,6 +4,10 @@
 // on it), a mean-reverting load process (time-sharing with other users —
 // the client only gets a fraction of peak), and an availability churn
 // process (owner reclamation, batch expiry, reboots, browsers closing).
+// The host runs its churn itself but keeps no clock for its load: the load
+// moves only when its owner calls step_load(). A HostPool does so for all
+// its hosts from one 30 s tick; a standalone SimHost's load stays put
+// unless its owner steps it.
 // When a host goes down its transport endpoints go silent — exactly how the
 // toolkit experiences failure — and the owning pool kills the client
 // process, losing its local state (the paper's first state class).
@@ -33,7 +37,7 @@ class SimHost {
           sim::Ar1Process::Params load, sim::DurationSampler::Params churn,
           std::uint64_t seed);
 
-  /// Begin the availability/load processes.
+  /// Begin the availability process.
   void start(bool initially_up);
   /// Permanent stop (end of scenario).
   void shutdown();
@@ -53,13 +57,14 @@ class SimHost {
   /// Ambient CPU contention multiplier on the load process mean (judging
   /// spike); 1.0 = normal.
   void set_pressure(double factor) { load_.set_pressure(factor); }
+  /// Advance the load process one step (its owner's 30 s tick).
+  void step_load() { load_.step(); }
 
   [[nodiscard]] std::uint64_t up_transitions() const { return up_transitions_; }
 
  private:
   void go_up();
   void go_down(Duration extra_down);
-  void schedule_load_step();
 
   sim::EventQueue& events_;
   sim::SimTransport& transport_;
@@ -73,7 +78,6 @@ class SimHost {
   std::function<void()> on_up_;
   std::function<void()> on_down_;
   TimerId transition_timer_ = kInvalidTimer;
-  TimerId load_timer_ = kInvalidTimer;
 };
 
 }  // namespace ew::infra

@@ -4,6 +4,10 @@
 
 namespace ew::infra {
 
+namespace {
+constexpr Duration kLoadStep = 30 * kSecond;
+}
+
 HostPool::HostPool(sim::EventQueue& events, sim::SimTransport& transport,
                    sim::NetworkModel& network, PoolProfile profile,
                    std::uint64_t seed)
@@ -41,6 +45,9 @@ void HostPool::start(ClientFactory factory) {
   }
   for (auto& h : hosts_) {
     h->start(rng_.chance(profile_.initially_up));
+    // The tick takes the timer id host 0's own load step used to get, so
+    // every step still runs in the same order against every other event.
+    if (h == hosts_.front()) schedule_load_step();
   }
 }
 
@@ -48,6 +55,7 @@ void HostPool::stop() {
   if (!running_) return;
   running_ = false;
   for (std::size_t i = 0; i < clients_.size(); ++i) kill_client(i);
+  events_.cancel(load_timer_);
   for (auto& h : hosts_) h->shutdown();
 }
 
@@ -82,6 +90,14 @@ void HostPool::reclaim_fraction(double fraction, Duration at_least) {
 
 void HostPool::set_pressure(double factor) {
   for (auto& h : hosts_) h->set_pressure(factor);
+}
+
+void HostPool::schedule_load_step() {
+  load_timer_ = events_.schedule(kLoadStep, [this] {
+    if (!running_) return;
+    for (auto& h : hosts_) h->step_load();
+    schedule_load_step();
+  });
 }
 
 void HostPool::on_host_up(std::size_t i) {

@@ -1,14 +1,17 @@
 // HostPool: a fleet of simulated hosts under one infrastructure, plus
 // InfraAdapter, the one adapter class every infrastructure is built from.
 //
-// The pool owns host lifecycles and (by default) launches a client process
-// on each host when it comes up, after the infrastructure's characteristic
-// start-up delay — the paper's observation that "each infrastructure
-// exported its own interface for launching and terminating processes"
-// (Section 5.1) becomes per-adapter launch ceremony around a common
-// ClientFactory. Unix, Java and Condor need nothing beyond their profile
-// (profiles.hpp) and run as a plain InfraAdapter; Globus, Legion, NT and
-// NetSolve derive from it to add their services or launch quirks.
+// The pool owns host lifecycles and their load: one pool timer steps every
+// host's load process every 30 s, in host index order (a standalone SimHost's
+// load moves only when its owner calls step_load()). By default the pool
+// also launches a client process on each host when it comes up, after the
+// infrastructure's characteristic start-up delay — the paper's observation
+// that "each infrastructure exported its own interface for launching and
+// terminating processes" (Section 5.1) becomes per-adapter launch ceremony
+// around a common ClientFactory. Unix, Java and Condor need nothing beyond
+// their profile (profiles.hpp) and run as a plain InfraAdapter; Globus,
+// Legion, NT and NetSolve derive from it to add their services or launch
+// quirks.
 #pragma once
 
 #include <memory>
@@ -91,6 +94,7 @@ class HostPool {
  private:
   void on_host_up(std::size_t i);
   void on_host_down(std::size_t i);
+  void schedule_load_step();
 
   sim::EventQueue& events_;
   sim::SimTransport& transport_;
@@ -101,6 +105,7 @@ class HostPool {
   std::vector<std::unique_ptr<Process>> clients_;
   ClientFactory factory_;
   LaunchHook launch_hook_;
+  TimerId load_timer_ = kInvalidTimer;
   bool running_ = false;
   std::uint64_t evictions_ = 0;
 };

@@ -284,17 +284,17 @@ std::string hex(std::uint64_t v) {
 TEST(ScenarioGolden, QuickSeed1) {
   const QuickRun run = quick_run(1);
   EXPECT_EQ(hex(run.results), "f366e1ed55dc7923");
-  EXPECT_EQ(run.executed, 124'979u);
+  EXPECT_EQ(run.executed, 114'179u);
 }
 TEST(ScenarioGolden, QuickSeed2) {
   const QuickRun run = quick_run(2);
   EXPECT_EQ(hex(run.results), "85aaf88332cf6f3c");
-  EXPECT_EQ(run.executed, 124'183u);
+  EXPECT_EQ(run.executed, 113'383u);
 }
 TEST(ScenarioGolden, QuickSeed3) {
   const QuickRun run = quick_run(3);
   EXPECT_EQ(hex(run.results), "dfc648fe3f48af40");
-  EXPECT_EQ(run.executed, 126'170u);
+  EXPECT_EQ(run.executed, 115'370u);
 }
 
 }  // namespace
