@@ -9,7 +9,9 @@ std::string Repro::to_string() const {
   std::string out = "world=" + world + " steps:";
   if (choices.empty()) out += " (all-default)";
   for (const auto& [step, c] : choices) {
-    out += " " + std::to_string(step) + ":";
+    out += ' ';
+    out += std::to_string(step);
+    out += ':';
     out += (c.kind == Choice::Kind::kFault) ? "fault[" : "ev[";
     out += std::to_string(c.index) + "]";
   }

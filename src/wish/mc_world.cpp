@@ -131,7 +131,7 @@ class WishWorld final : public BaseWorld {
     std::uint64_t incarnation = 0;  // last started incarnation
   };
 
-  static std::string host(int i) { return "w" + std::to_string(i); }
+  static std::string host(int i) { return 'w' + std::to_string(i); }
 
   /// Smallest "<stem><n>" whose coordinator hash lands on peers_[want].
   std::string pick_name(const std::string& stem, int want) const {

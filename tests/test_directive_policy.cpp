@@ -83,7 +83,7 @@ class DirectivePolicyTest : public ::testing::Test {
 TEST_F(DirectivePolicyTest, RotatesKindsBeforeEvidence) {
   std::map<ramsey::HeuristicKind, int> seen;
   for (int i = 0; i < 6; ++i) {
-    const auto spec = register_client("c" + std::to_string(i));
+    const auto spec = register_client('c' + std::to_string(i));
     ++seen[spec.kind];
   }
   EXPECT_EQ(seen.size(), 3u) << "all three heuristics must stay in play";
@@ -124,7 +124,7 @@ TEST_F(DirectivePolicyTest, ExploitsHighYieldKindOnceMeasured) {
   // Fresh units should now be mostly annealing (modulo the explore slots).
   int anneal = 0, total = 0;
   for (int i = 0; i < 16; ++i) {
-    const auto spec = register_client("x" + std::to_string(i));
+    const auto spec = register_client('x' + std::to_string(i));
     ++total;
     anneal += spec.kind == ramsey::HeuristicKind::kAnneal ? 1 : 0;
   }

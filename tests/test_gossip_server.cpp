@@ -49,7 +49,7 @@ class GossipServerTest : public ::testing::Test {
 
   void build(int num_gossips, std::uint32_t num_cliques = 1) {
     for (int i = 0; i < num_gossips; ++i) {
-      well_known_.push_back(Endpoint{"g" + std::to_string(i), 501});
+      well_known_.push_back(Endpoint{'g' + std::to_string(i), 501});
     }
     GossipServer::Options opts;
     opts.poll_period = 5 * kSecond;
@@ -196,7 +196,7 @@ TEST_F(GossipServerTest, ResponsibilityRebalancesOnGossipFailure) {
     if (servers_[i]->responsible_for(c->node->self())) victim = i;
   }
   ASSERT_NE(victim, 99u);
-  transport_.set_host_up("g" + std::to_string(victim), false);
+  transport_.set_host_up('g' + std::to_string(victim), false);
   events_.run_for(5 * kMinute);
   c->version = 20;
   events_.run_for(5 * kMinute);

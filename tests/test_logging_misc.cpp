@@ -33,7 +33,7 @@ class LoggingTest : public ::testing::Test {
     rec.when = events_.clock().now();
     rec.client = sender_.self();
     rec.infra = infra;
-    rec.host = "h";
+    rec.host = 'h';
     rec.ops = ops;
     sender_.send_oneway(node_.self(), msgtype::kLogRecord, rec.serialize());
     events_.run_until_idle();
@@ -121,7 +121,7 @@ TEST_F(LoggingTest, ClientIdlesWhileHostSaturatedThenResumes) {
   auto rate = std::make_shared<double>(0.0);  // saturated: no cycles for guests
   RamseyClient::Options o;
   o.schedulers = {sched_node.self()};
-  o.host_label = "c";
+  o.host_label = 'c';
   o.rate_source = [rate] { return *rate; };
   o.report_interval = 30 * kSecond;
   o.idle_recheck = 10 * kSecond;

@@ -735,7 +735,7 @@ TEST_F(SchedulerClientTest, ShardedRestartReplaysPerShardWithoutDoubleIssue) {
 TEST_F(SchedulerClientTest, ThunderingHerdSpreadBySleep) {
   add_scheduler("sched", 42, 5);
   for (int i = 0; i < 20; ++i) {
-    add_client("c" + std::to_string(i), 1e7, {Endpoint{"sched", 601}});
+    add_client('c' + std::to_string(i), 1e7, {Endpoint{"sched", 601}});
   }
   // Within the first sleep window, registrations trickle rather than slam.
   events_.run_for(2 * kSecond);

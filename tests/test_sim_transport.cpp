@@ -249,7 +249,7 @@ TEST(NetworkModel, LatenciesAndCutsSetBeforeMoreSitesAreNamedKeepTheirValues) {
   net.set_base_latency("s2", "s1", 123 * kMillisecond);
   net.set_partitioned("s1", "s3", true);
   for (int i = 0; i < 40; ++i) {
-    net.set_site("h" + std::to_string(i), "x" + std::to_string(i));
+    net.set_site('h' + std::to_string(i), 'x' + std::to_string(i));
   }
   net.set_base_latency("x7", "x9", 7 * kMillisecond);
   EXPECT_EQ(net.sample("a", "b", 0).latency, 123 * kMillisecond);
@@ -283,7 +283,7 @@ TEST(NetworkModel, CutsAreOrderInsensitiveAfterTheTableGrows) {
   net.set_site("a", "s1");
   net.set_site("b", "s2");
   net.set_partitioned("s2", "s1", true);
-  for (int i = 0; i < 40; ++i) net.set_site("h" + std::to_string(i), "x" + std::to_string(i));
+  for (int i = 0; i < 40; ++i) net.set_site('h' + std::to_string(i), 'x' + std::to_string(i));
   EXPECT_TRUE(net.partitioned("s1", "s2"));
   EXPECT_TRUE(net.partitioned("s2", "s1"));
   EXPECT_FALSE(net.sample("a", "b", 0).deliver);
