@@ -4,10 +4,9 @@
 // on it), a mean-reverting load process (time-sharing with other users —
 // the client only gets a fraction of peak), and an availability churn
 // process (owner reclamation, batch expiry, reboots, browsers closing).
-// The host runs its churn itself but keeps no clock for its load: the load
-// moves only when its owner calls step_load(). A HostPool does so for all
-// its hosts from one 30 s tick; a standalone SimHost's load stays put
-// unless its owner steps it.
+// The host runs its own churn, but its load moves only when its owner calls
+// step_load(): a HostPool steps all its hosts from one 30 s tick, and a
+// standalone SimHost's load stays put.
 // When a host goes down its transport endpoints go silent — exactly how the
 // toolkit experiences failure — and the owning pool kills the client
 // process, losing its local state (the paper's first state class).

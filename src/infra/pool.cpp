@@ -45,8 +45,8 @@ void HostPool::start(ClientFactory factory) {
   }
   for (auto& h : hosts_) {
     h->start(rng_.chance(profile_.initially_up));
-    // The tick takes the timer id host 0's own load step used to get, so
-    // every step still runs in the same order against every other event.
+    // Armed right after host 0 starts: the timer-id position that keeps
+    // every load step in order against every other event (DESIGN §17).
     if (h == hosts_.front()) schedule_load_step();
   }
 }
